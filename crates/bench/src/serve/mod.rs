@@ -120,6 +120,16 @@ impl ServiceState {
         self.draining.load(Ordering::SeqCst)
     }
 
+    /// Enters DRAINING: `/readyz` reads 503 and admission refuses from the
+    /// moment this returns. Idempotent; only the first call closes the
+    /// queue and logs.
+    pub fn begin_drain(&self) {
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            self.queue.close();
+            eprintln!("serve: draining (admission closed)");
+        }
+    }
+
     /// The spool directory for a request id, created on demand. `None`
     /// without `--spool`.
     pub fn spool_dir(&self, id: &str) -> Option<PathBuf> {
@@ -323,10 +333,8 @@ pub fn serve(args: Vec<String>) -> i32 {
                 std::thread::spawn(move || handle_connection(stream, &state));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if drain::shutdown_requested() && !state.draining() {
-                    state.draining.store(true, Ordering::SeqCst);
-                    state.queue.close();
-                    eprintln!("serve: draining (admission closed)");
+                if drain::shutdown_requested() {
+                    state.begin_drain();
                 }
                 if state.draining()
                     && state.queue.is_empty()
@@ -483,6 +491,10 @@ fn route(req: &Request, state: &Arc<ServiceState>) -> Response {
             lookup_request(state, &target["/requests/".len()..])
         }
         ("POST", "/admin/drain") => {
+            // Flip synchronously, so the drain is observable the moment
+            // this reply arrives (signals reach it on the next accept
+            // poll instead).
+            state.begin_drain();
             drain::request_shutdown();
             Response::json(200, "OK", simple_body("status", "draining"))
         }

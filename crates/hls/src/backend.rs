@@ -209,8 +209,53 @@ impl CpuParams {
     }
 }
 
-/// A hardware cost model: turns one partition's encoded streams and
-/// decompression trace into stage cycle counts.
+/// Everything a [`Backend`] reads about one partition: its transfer
+/// accounting and its decompressor's cycle and access counts.
+///
+/// Two producers fill it with identical values (test-enforced):
+/// [`TileCost::functional`] from a materialized encode → decompress pass,
+/// and the analytic fast path's tile scan
+/// ([`TileCost::from_tile`](TileCost::from_tile)), which applies each
+/// format's closed form to per-tile counts without building the tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TileCost {
+    /// Bytes of the structural encoding (data + metadata).
+    pub bytes: u64,
+    /// Bytes crossing the bus after the second-stage codec.
+    pub coded_bytes: u64,
+    /// Bytes of useful payload (the non-zero values).
+    pub useful_bytes: u64,
+    /// Second-stage decoder cycles (zero without a codec).
+    pub entropy_cycles: u64,
+    /// Structural-decompression cycles.
+    pub decomp_cycles: u64,
+    /// Dot products issued to the engine.
+    pub dot_issues: u64,
+    /// Width of the engine those issues go to.
+    pub engine_width: usize,
+    /// BRAM read transactions.
+    pub bram_reads: u64,
+}
+
+impl TileCost {
+    /// The cost of a functionally processed partition: read off its
+    /// encoded streams and its decompression trace.
+    pub fn functional(encoded: &EncodedPartition, d: &Decompression, cfg: &HwConfig) -> Self {
+        TileCost {
+            bytes: encoded.total_bytes(),
+            coded_bytes: encoded.transfer_bytes(),
+            useful_bytes: encoded.useful_bytes,
+            entropy_cycles: encoded.entropy_cycles(cfg),
+            decomp_cycles: d.decomp_cycles,
+            dot_issues: d.dot_issues,
+            engine_width: d.engine_width,
+            bram_reads: d.bram_reads,
+        }
+    }
+}
+
+/// A hardware cost model: turns one partition's [`TileCost`] into stage
+/// cycle counts.
 ///
 /// Implementations are stateless — all tunables come from the
 /// [`HwConfig`] passed at each call, so a `&'static` instance can be
@@ -221,12 +266,17 @@ pub trait Backend: Sync {
 
     /// Cost one partition: memory-read, compute (structural decompress +
     /// entropy decode + dot products), and write-back stage cycles.
+    fn tile_timing(&self, cost: &TileCost, cfg: &HwConfig) -> PartitionTiming;
+
+    /// [`Backend::tile_timing`] of a functionally processed partition.
     fn partition_timing(
         &self,
         encoded: &EncodedPartition,
         d: &Decompression,
         cfg: &HwConfig,
-    ) -> PartitionTiming;
+    ) -> PartitionTiming {
+        self.tile_timing(&TileCost::functional(encoded, d, cfg), cfg)
+    }
 
     /// Compute cycles a dense `p×p` partition would take on this
     /// backend — the σ (Eq. 1) normalization baseline.
@@ -266,24 +316,20 @@ impl Backend for HlsStreamBackend {
         BackendKind::Hls
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
-        let entropy_cycles = encoded.entropy_cycles(cfg);
+    fn tile_timing(&self, c: &TileCost, cfg: &HwConfig) -> PartitionTiming {
         PartitionTiming {
-            mem_cycles: encoded.memory_cycles(cfg),
-            compute_cycles: d.compute_cycles(cfg) + entropy_cycles,
-            decomp_cycles: d.decomp_cycles,
-            entropy_cycles,
+            mem_cycles: cfg.transfer_cycles(c.coded_bytes),
+            compute_cycles: c.decomp_cycles
+                + c.dot_issues * cfg.dot_latency(c.engine_width)
+                + c.entropy_cycles,
+            decomp_cycles: c.decomp_cycles,
+            entropy_cycles: c.entropy_cycles,
             writeback_cycles: cfg.transfer_cycles((cfg.partition_size * cfg.value_bytes) as u64),
-            dot_issues: d.dot_issues,
-            bytes: encoded.total_bytes(),
-            coded_bytes: encoded.transfer_bytes(),
-            useful_bytes: encoded.useful_bytes,
-            bram_reads: d.bram_reads,
+            dot_issues: c.dot_issues,
+            bytes: c.bytes,
+            coded_bytes: c.coded_bytes,
+            useful_bytes: c.useful_bytes,
+            bram_reads: c.bram_reads,
         }
     }
 
@@ -324,33 +370,27 @@ impl Backend for CpuCacheBackend {
         BackendKind::Cpu
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
+    fn tile_timing(&self, c: &TileCost, cfg: &HwConfig) -> PartitionTiming {
         let cpu = &cfg.cpu;
-        // Entropy decode prices from the same codec cost tables the HLS
-        // second-stage decoder uses (cycles here tick at the CPU clock).
-        let entropy_cycles = encoded.entropy_cycles(cfg);
-        // The structural working set picks the cache level every
-        // element access pays for.
-        let latency = cpu.access_latency(encoded.total_bytes());
-        let access_cycles = (d.bram_reads + d.dot_issues) * latency;
-        let dot_cycles = d.dot_issues * cpu.dot_latency(d.engine_width);
+        // Entropy cycles come from the same codec cost tables the HLS
+        // second-stage decoder uses (here they tick at the CPU clock). The
+        // structural working set picks the cache level every element
+        // access pays for.
+        let latency = cpu.access_latency(c.bytes);
+        let access_cycles = (c.bram_reads + c.dot_issues) * latency;
+        let dot_cycles = c.dot_issues * cpu.dot_latency(c.engine_width);
         let stream = |bytes: u64| cpu.dram_latency + bytes.div_ceil(cpu.dram_bytes_per_cycle);
         PartitionTiming {
-            mem_cycles: stream(encoded.transfer_bytes()),
-            compute_cycles: entropy_cycles + d.decomp_cycles + access_cycles + dot_cycles,
-            decomp_cycles: d.decomp_cycles,
-            entropy_cycles,
+            mem_cycles: stream(c.coded_bytes),
+            compute_cycles: c.entropy_cycles + c.decomp_cycles + access_cycles + dot_cycles,
+            decomp_cycles: c.decomp_cycles,
+            entropy_cycles: c.entropy_cycles,
             writeback_cycles: stream((cfg.partition_size * cfg.value_bytes) as u64),
-            dot_issues: d.dot_issues,
-            bytes: encoded.total_bytes(),
-            coded_bytes: encoded.transfer_bytes(),
-            useful_bytes: encoded.useful_bytes,
-            bram_reads: d.bram_reads,
+            dot_issues: c.dot_issues,
+            bytes: c.bytes,
+            coded_bytes: c.coded_bytes,
+            useful_bytes: c.useful_bytes,
+            bram_reads: c.bram_reads,
         }
     }
 
@@ -404,20 +444,15 @@ impl Backend for HeteroBackend {
         BackendKind::Hetero
     }
 
-    fn partition_timing(
-        &self,
-        encoded: &EncodedPartition,
-        d: &Decompression,
-        cfg: &HwConfig,
-    ) -> PartitionTiming {
-        let hls = HlsStreamBackend.partition_timing(encoded, d, cfg);
+    fn tile_timing(&self, c: &TileCost, cfg: &HwConfig) -> PartitionTiming {
+        let hls = HlsStreamBackend.tile_timing(c, cfg);
         if hls.mem_cycles <= hls.compute_cycles {
             // Compute-bound on the FPGA: the accelerator earns its keep.
             return hls;
         }
         // Memory-bound: dispatch to the CPU and bring its cycles into
         // the HLS clock domain.
-        let cpu = CpuCacheBackend.partition_timing(encoded, d, cfg);
+        let cpu = CpuCacheBackend.tile_timing(c, cfg);
         PartitionTiming {
             mem_cycles: rescale(cpu.mem_cycles, cfg),
             compute_cycles: rescale(cpu.compute_cycles, cfg),

@@ -9,10 +9,16 @@
 //! * `#pragma HLS unroll` + `array_partition` bodies retire in one cycle,
 //! * every data-dependent read of a non-partitioned array (CSR/BCSR
 //!   `offsets`, the LIL cursor row, …) pays [`HwConfig::bram_read_latency`].
+//!
+//! Each walk has a closed-form twin (`*_closed`, dispatched by
+//! [`closed_form`]) that computes the same accounting from per-tile counts
+//! alone — the analytic fast path. The oracle property test pins every
+//! twin to its walk.
 
+use crate::analytic::TileStats;
 use crate::{EncodeScratch, EncodedPartition, HwConfig};
 use sparsemat::ell::PAD;
-use sparsemat::{AnyMatrix, Dense, Matrix};
+use sparsemat::{AnyMatrix, Dense, FormatKind, Matrix};
 
 /// The outcome of decompressing one partition: row contributions for the
 /// dot-product engine plus the cycle/access accounting.
@@ -87,6 +93,44 @@ pub fn decompress_with(
     }
 }
 
+/// The accounting of the decompressor walk for `format` over a clean tile
+/// (no duplicate coordinates, no stored zeros) with counts `s`, without
+/// emitting its rows: `contributions` is empty. `None` for formats the
+/// platform does not characterize.
+pub(crate) fn closed_form(
+    format: FormatKind,
+    s: &TileStats,
+    cfg: &HwConfig,
+) -> Option<Decompression> {
+    Some(match format {
+        FormatKind::Dense => dense_closed(cfg),
+        FormatKind::Csr => csr_closed(s, cfg),
+        FormatKind::Csc => csc_closed(s, cfg),
+        FormatKind::Bcsr => bcsr_closed(s, cfg),
+        FormatKind::Coo | FormatKind::Dok => coo_closed(s, cfg),
+        FormatKind::Lil => lil_closed(s, cfg),
+        FormatKind::Ell => ell_closed(cfg),
+        FormatKind::Dia => dia_closed(s, cfg),
+        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => return None,
+    })
+}
+
+/// A row-less [`Decompression`] carrying only the accounting.
+fn accounting(
+    decomp_cycles: u64,
+    dot_issues: u64,
+    engine_width: usize,
+    bram_reads: u64,
+) -> Decompression {
+    Decompression {
+        contributions: Vec::new(),
+        decomp_cycles,
+        dot_issues,
+        engine_width,
+        bram_reads,
+    }
+}
+
 /// Dense baseline: rows stream straight to the engine; `T_decomp = 0` and
 /// every row — zero or not — is a dot-product issue, which is what makes
 /// σ ≡ 1 for the dense format.
@@ -103,6 +147,12 @@ fn dense(m: &Dense<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Decompr
         engine_width: p,
         bram_reads: p as u64,
     }
+}
+
+/// [`dense`] in closed form: `p` issues and reads, no decompression.
+fn dense_closed(cfg: &HwConfig) -> Decompression {
+    let p = cfg.partition_size;
+    accounting(0, p as u64, p, p as u64)
 }
 
 /// CSR (Listing 1): one extra `offsets` BRAM access per non-zero row, then
@@ -136,6 +186,17 @@ fn csr(m: &sparsemat::Csr<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
         out.dot_issues += 1;
     }
     out
+}
+
+/// [`csr`] in closed form: `T = nzr·L_bram + nnz`, one issue per non-zero
+/// row, one offsets read per non-zero row plus one read per element.
+fn csr_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    accounting(
+        s.nz_rows * cfg.bram_read_latency + s.nnz,
+        s.nz_rows,
+        cfg.partition_size,
+        s.nz_rows + s.nnz,
+    )
 }
 
 /// CSC (Listing 3): the orientation mismatch — for *every* output row the
@@ -176,6 +237,13 @@ fn csc(m: &sparsemat::Csc<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
     }
     scratch.give_opt_rows(rows);
     out
+}
+
+/// [`csc`] in closed form: `T = p·nnz` rescan cycles and reads, one issue
+/// per non-zero row.
+fn csc_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    let p = cfg.partition_size;
+    accounting(p as u64 * s.nnz, s.nz_rows, p, p as u64 * s.nnz)
 }
 
 /// BCSR (Listing 2): one `offsets` access per non-empty block-row, then one
@@ -230,6 +298,17 @@ fn bcsr(m: &sparsemat::Bcsr<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -
     out
 }
 
+/// [`bcsr`] in closed form: `T = nzbr·L_bram + blocks`, one issue per tile
+/// row a non-empty block-row covers.
+fn bcsr_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    accounting(
+        s.nz_block_rows * cfg.bram_read_latency + s.blocks,
+        s.block_row_rows,
+        cfg.partition_size,
+        s.nz_block_rows + s.blocks,
+    )
+}
+
 /// COO (Listing 6): one pipelined II=1 pass over the tuple list scattering
 /// into row buffers. Row boundaries are unknown in advance, so the loop is
 /// pipelined, not unrolled; each completed non-zero row issues a dot.
@@ -258,14 +337,26 @@ fn coo(m: &sparsemat::Coo<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
     out
 }
 
+/// [`coo`] in closed form: `T = L_bram + nnz`, one issue per non-zero row.
+fn coo_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    accounting(
+        cfg.bram_read_latency + s.nnz,
+        s.nz_rows,
+        cfg.partition_size,
+        s.nnz,
+    )
+}
+
+/// LIL per-row emission logic on top of the BRAM read: min-compare +
+/// assign.
+const LIL_LOGIC_CYCLES: u64 = 2;
+
 /// LIL (Listing 4): per emitted row, one *parallel* BRAM access across all
 /// column lists (they are array-partitioned) plus the min-scan/assign
 /// logic; one extra access recognizes the end of the non-zero rows. The
 /// number of emissions equals the number of non-zero rows.
 fn lil(m: &sparsemat::Lil<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> Decompression {
     let p = cfg.partition_size;
-    // Per-row emission cost: parallel BRAM read + min-compare + assign.
-    const LIL_LOGIC_CYCLES: u64 = 2;
     let mut cursors = scratch.take_cursors(p);
     let mut out = Decompression {
         contributions: scratch.take_contribs(),
@@ -303,6 +394,18 @@ fn lil(m: &sparsemat::Lil<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
     out
 }
 
+/// [`lil`] in closed form: `T = nzr·(L_bram + 2) + L_bram`, `p` reads per
+/// emission plus the end-marker access.
+fn lil_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    let p = cfg.partition_size;
+    accounting(
+        s.nz_rows * (cfg.bram_read_latency + LIL_LOGIC_CYCLES) + cfg.bram_read_latency,
+        s.nz_rows,
+        p,
+        p as u64 * (s.nz_rows + 1),
+    )
+}
+
 /// ELL (Listing 5): the copy loop is *fully unrolled* over the partitioned
 /// slot arrays, so each row decompresses in one cycle regardless of its
 /// width — §5.2: "reducing ELL_MAX_COMP_ROW_LENGTH in the ELL
@@ -337,6 +440,13 @@ fn ell(m: &sparsemat::Ell<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
         out.dot_issues += 1;
     }
     out
+}
+
+/// [`ell`] in closed form: one cycle, read and narrow-engine issue per row,
+/// whatever the pattern.
+fn ell_closed(cfg: &HwConfig) -> Decompression {
+    let p = cfg.partition_size as u64;
+    accounting(p, p, cfg.ell_hw_width, p)
 }
 
 /// DIA (Listing 7): for every output row, a pipelined II=1 scan over all
@@ -381,6 +491,18 @@ fn dia(m: &sparsemat::Dia<f32>, cfg: &HwConfig, scratch: &mut EncodeScratch) -> 
     }
     scratch.give_opt_rows(rows);
     out
+}
+
+/// [`dia`] in closed form: `T = L_bram + p·ndiag`, one issue per non-zero
+/// row.
+fn dia_closed(s: &TileStats, cfg: &HwConfig) -> Decompression {
+    let p = cfg.partition_size;
+    accounting(
+        cfg.bram_read_latency + p as u64 * s.diagonals,
+        s.nz_rows,
+        p,
+        p as u64 * s.diagonals,
+    )
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! utilization metric (§4.2: "the ratio of useful data over all transmitted
 //! data (i.e., useful data plus metadata)").
 
+use crate::analytic::TileStats;
 use crate::codec::codec_for;
 use crate::{EncodeScratch, HwConfig};
 use sparsemat::{AnyMatrix, Bcsr, Coo, Dia, Ell, FormatKind, Lil, Matrix, SparseError};
@@ -316,6 +317,31 @@ impl EncodedPartition {
     pub fn kind(&self) -> FormatKind {
         self.matrix.kind()
     }
+}
+
+/// [`EncodedPartition::encode_with`]'s structural byte total in closed
+/// form, from the counts of a clean tile (no duplicate coordinates, no
+/// stored zeros): the sum of the streams it would push. `None` for formats
+/// the platform does not characterize.
+pub(crate) fn structural_bytes(format: FormatKind, s: &TileStats, cfg: &HwConfig) -> Option<u64> {
+    let vb = cfg.value_bytes as u64;
+    let ib = cfg.index_bytes as u64;
+    let p = cfg.partition_size as u64;
+    let b = cfg.bcsr_block as u64;
+    Some(match format {
+        FormatKind::Dense => p * p * vb,
+        // offsets + one index and one value per stored entry.
+        FormatKind::Csr | FormatKind::Csc => (p + 1) * ib + s.nnz * (ib + vb),
+        // offsets over every block-row + one index and b² values per block.
+        FormatKind::Bcsr => (p.div_ceil(b) + 1) * ib + s.blocks * (ib + b * b * vb),
+        FormatKind::Coo | FormatKind::Dok => s.nnz * (2 * ib + vb),
+        // (longest column + end marker) rows of p lanes.
+        FormatKind::Lil => (s.max_col + 1) * p * (ib + vb),
+        // Natural width = longest row.
+        FormatKind::Ell => s.max_row * p * (ib + vb),
+        FormatKind::Dia => s.diagonals * (p + 1) * vb,
+        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => return None,
+    })
 }
 
 /// Appends the first `width` little-endian bytes of `le`, zero-padded when

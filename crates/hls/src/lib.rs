@@ -59,6 +59,7 @@
 // `-D warnings`, making this a gate.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+mod analytic;
 pub mod backend;
 pub mod codec;
 pub mod config;
@@ -73,6 +74,7 @@ pub mod session;
 
 pub use backend::{
     backend_for, Backend, BackendKind, CpuCacheBackend, CpuParams, HeteroBackend, HlsStreamBackend,
+    TileCost,
 };
 pub use codec::{codec_for, Codec, CodecCost, CodecError, CodecKind, CodecScratch};
 pub use config::{ceil_log2, HwConfig};

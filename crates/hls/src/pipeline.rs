@@ -1,8 +1,8 @@
 //! The three-stage streaming platform of Fig. 2: memory-read → compute
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
-use crate::backend::backend_for;
-use crate::{decompress_with, Decompression, EncodeScratch, EncodedPartition, HwConfig};
+use crate::backend::{backend_for, TileCost};
+use crate::{decompress_with, CodecKind, Decompression, EncodeScratch, EncodedPartition, HwConfig};
 use copernicus_telemetry::{
     CancelToken, NullSink, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
@@ -323,6 +323,9 @@ fn emit_partition_spans<S: TraceSink + ?Sized>(
 /// One partition's outcome from a tile worker, reduced in grid order.
 type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
 
+/// A consumer of each partition's decompressed rows (the SpMV engine).
+type RowConsumer<'a> = &'a mut dyn FnMut(&Partition<f32>, &Decompression);
+
 /// The modeled platform: a validated [`HwConfig`] plus the run entry points.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -422,21 +425,35 @@ impl Platform {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
+    /// Whether a run's outputs can depend on materialized tiles beyond
+    /// their counts: functional verification compares the decompressed
+    /// rows, and a stream codec compresses the encoded bytes. When neither
+    /// is configured (and no SpMV consumes the rows) runs take the analytic
+    /// fast path.
+    fn needs_tiles(&self) -> bool {
+        self.cfg.verify_functional || self.cfg.stream_codec != CodecKind::None
+    }
+
     /// The single shared partition loop: processes each tile exactly once,
     /// hands its decompression to `consume` (the SpMV path applies the row
     /// contributions there), emits trace events, aggregates the report, and
     /// recycles every per-tile buffer into `scratch`.
-    pub(crate) fn run_grid_scratch<S, F>(
+    ///
+    /// Without a consumer, on a platform that does not
+    /// [need tiles](Platform::needs_tiles), tiles are priced serially from
+    /// their counts (the analytic fast path) whatever
+    /// [`Platform::tile_jobs`] says; the report and trace are
+    /// byte-identical to the functional path's.
+    pub(crate) fn run_grid_scratch<S>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
         sink: &mut S,
-        mut consume: F,
+        mut consume: Option<RowConsumer<'_>>,
         scratch: &mut EncodeScratch,
     ) -> Result<RunReport, PlatformError>
     where
         S: TraceSink + ?Sized,
-        F: FnMut(&Partition<f32>, &Decompression),
     {
         if sink.enabled() {
             sink.record(&PipelineEvent::RunStart {
@@ -455,7 +472,8 @@ impl Platform {
         if self.cancelled() {
             return Err(PlatformError::Cancelled);
         }
-        if self.tile_jobs > 1 && grid.partitions().len() > 1 {
+        let analytic = consume.is_none() && !self.needs_tiles();
+        if !analytic && self.tile_jobs > 1 && grid.partitions().len() > 1 {
             // Tile-parallel pass: workers process partitions out of order,
             // then this loop reduces them back in grid order so every
             // observable byte (report, spans, SpMV accumulation order)
@@ -472,7 +490,9 @@ impl Platform {
                         // discarded, exactly as the serial path never
                         // reaches it.
                         if failure.is_none() {
-                            consume(part, &d);
+                            if let Some(consume) = consume.as_mut() {
+                                consume(part, &d);
+                            }
                             if sink.enabled() {
                                 emit_partition_spans(sink, &mut schedule, idx, part, &timing);
                             }
@@ -510,17 +530,14 @@ impl Platform {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);
                 }
-                let (timing, d) = self.process_partition(
-                    &part.coo,
-                    format,
-                    (part.grid_row, part.grid_col),
-                    sink,
-                    idx,
-                    scratch,
-                    &mut acc,
-                )?;
-                consume(part, &d);
-                scratch.recycle_decompression(d);
+                let (timing, d) =
+                    self.price_partition(part, format, analytic, sink, idx, scratch, &mut acc)?;
+                if let Some(d) = d {
+                    if let Some(consume) = consume.as_mut() {
+                        consume(part, &d);
+                    }
+                    scratch.recycle_decompression(d);
+                }
                 if sink.enabled() {
                     emit_partition_spans(sink, &mut schedule, idx, part, &timing);
                 }
@@ -537,6 +554,34 @@ impl Platform {
             profiler.flush_run(&acc, start.elapsed().as_secs_f64());
         }
         Ok(report)
+    }
+
+    /// Prices one tile of a serial pass. With `analytic` set, a tile the
+    /// scan accepts is priced from its counts ([`TileCost::from_tile`]) and
+    /// no decompression is returned; every other tile (duplicate
+    /// coordinates, stored zeros) takes [`Platform::process_partition`].
+    /// Scan time is not lapped, so a profiler books it under the run's
+    /// [`Phase::Compute`] residual.
+    #[allow(clippy::too_many_arguments)]
+    fn price_partition<S: TraceSink + ?Sized>(
+        &self,
+        part: &Partition<f32>,
+        format: FormatKind,
+        analytic: bool,
+        sink: &mut S,
+        idx: usize,
+        scratch: &mut EncodeScratch,
+        acc: &mut PhaseAcc,
+    ) -> Result<(PartitionTiming, Option<Decompression>), PlatformError> {
+        if analytic {
+            if let Some(cost) = TileCost::from_tile(&part.coo, format, &self.cfg, scratch) {
+                let timing = backend_for(self.cfg.backend).tile_timing(&cost, &self.cfg);
+                return Ok((timing, None));
+            }
+        }
+        let grid_pos = (part.grid_row, part.grid_col);
+        self.process_partition(&part.coo, format, grid_pos, sink, idx, scratch, acc)
+            .map(|(timing, d)| (timing, Some(d)))
     }
 
     /// Encode → decompress → (optional) functional verification for one
@@ -809,7 +854,8 @@ impl Platform {
         if self.cancelled() {
             return Err(PlatformError::Cancelled);
         }
-        if self.tile_jobs > 1 && grid.partitions().len() > 1 {
+        let analytic = !self.needs_tiles();
+        if !analytic && self.tile_jobs > 1 && grid.partitions().len() > 1 {
             let (mut pool, mut slots) = self.process_grid_parallel(grid, format, scratch, &mut acc);
             let mut failure: Option<PlatformError> = None;
             for (idx, slot) in slots.iter_mut().enumerate() {
@@ -854,16 +900,11 @@ impl Platform {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);
                 }
-                let (timing, d) = self.process_partition(
-                    &part.coo,
-                    format,
-                    (part.grid_row, part.grid_col),
-                    sink,
-                    idx,
-                    scratch,
-                    &mut acc,
-                )?;
-                scratch.recycle_decompression(d);
+                let (timing, d) =
+                    self.price_partition(part, format, analytic, sink, idx, scratch, &mut acc)?;
+                if let Some(d) = d {
+                    scratch.recycle_decompression(d);
+                }
                 builder.push(&timing);
                 timings.push(timing);
             }

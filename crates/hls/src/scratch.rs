@@ -17,6 +17,7 @@
 //! the bytes of every report, trace span and measurement are identical to
 //! the allocating path (test-enforced).
 
+use crate::analytic::TileScan;
 use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
@@ -62,6 +63,8 @@ pub struct EncodeScratch {
     tmp_triplets: Vec<Triplet<f32>>,
     /// Pooled second-stage decoder state (Huffman primary table).
     codec: CodecScratch,
+    /// Count and bitmap buffers of the analytic fast path's tile scan.
+    scan: TileScan,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -103,6 +106,11 @@ impl EncodeScratch {
     /// [`Codec::decode_bytes_with`](crate::Codec::decode_bytes_with).
     pub fn codec_scratch(&mut self) -> &mut CodecScratch {
         &mut self.codec
+    }
+
+    /// The analytic fast path's tile-scan buffers.
+    pub(crate) fn tile_scan(&mut self) -> &mut TileScan {
+        &mut self.scan
     }
 
     /// Takes exactly `n` worker scratches for a tile-parallel pass,

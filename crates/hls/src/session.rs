@@ -351,7 +351,7 @@ impl Session {
                 grid,
                 format,
                 sink,
-                |part, d| apply_contributions(part, d, p, x, &mut y),
+                Some(&mut |part, d| apply_contributions(part, d, p, x, &mut y)),
                 &mut self.scratch,
             )?;
             return Ok(RunOutcome {
@@ -360,9 +360,9 @@ impl Session {
                 parallel: None,
             });
         }
-        let report =
-            self.platform
-                .run_grid_scratch(grid, format, sink, |_, _| {}, &mut self.scratch)?;
+        let report = self
+            .platform
+            .run_grid_scratch(grid, format, sink, None, &mut self.scratch)?;
         Ok(RunOutcome {
             report,
             y: None,

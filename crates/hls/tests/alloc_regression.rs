@@ -9,43 +9,40 @@ use copernicus_hls::{CodecKind, HwConfig, RunRequest, Session};
 use sparsemat::{Coo, FormatKind, PartitionGrid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation made by the armed thread;
 /// frees are uncounted (returning pooled buffers is allowed, acquiring new
-/// ones is the regression). Arming is per-thread so the libtest harness
-/// thread's own bookkeeping allocations never pollute the count.
+/// ones is the regression). Arming and counting are per-thread, so neither
+/// the libtest harness's own bookkeeping nor a test running concurrently
+/// on another thread pollutes the count.
 struct CountingAlloc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn armed() -> bool {
-    // `try_with` so allocations during thread teardown can't panic.
-    ARMED.try_with(Cell::get).unwrap_or(false)
+/// Counts one allocation if this thread is armed. `try_with` so
+/// allocations during thread teardown can't panic.
+fn count_one() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -61,11 +58,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// does all per-tile work on the calling thread, so the thread-local gate
 /// meters exactly the code under test.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|c| c.set(true));
     let out = f();
     ARMED.with(|c| c.set(false));
-    (ALLOCS.load(Ordering::SeqCst), out)
+    (ALLOCS.with(Cell::get), out)
 }
 
 /// A banded matrix with scattered fill: every 16-wide tile of the `n×n`
@@ -120,5 +117,40 @@ fn warm_sessions_run_allocation_free_per_tile() {
             large_allocs, 0,
             "{kind}: a warm 6×6 run allocated {large_allocs} time(s)"
         );
+    }
+}
+
+#[test]
+fn warm_fast_path_runs_allocation_free_per_tile() {
+    // Verification off and no stream codec: every tile is priced by the
+    // analytic scan, whose count and bitmap buffers live in the session's
+    // scratch. Tile workers are configured but unused by the fast path.
+    let cfg = HwConfig {
+        verify_functional: false,
+        ..HwConfig::default()
+    };
+    let small = matrix(48);
+    let large = matrix(96);
+    for p in [8, 16, 17, 32] {
+        let small_grid = PartitionGrid::new(&small, p).unwrap();
+        let large_grid = PartitionGrid::new(&large, p).unwrap();
+        let cfg = HwConfig {
+            partition_size: p,
+            ..cfg.clone()
+        };
+        for kind in FormatKind::CHARACTERIZED {
+            let mut session = Session::new(cfg.clone()).unwrap().with_tile_jobs(4);
+            session.run(RunRequest::grid(&small_grid, kind)).unwrap();
+            session.run(RunRequest::grid(&large_grid, kind)).unwrap();
+            let (small_allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&small_grid, kind)).unwrap());
+            let (large_allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&large_grid, kind)).unwrap());
+            assert_eq!(
+                (small_allocs, large_allocs),
+                (0, 0),
+                "{kind} p={p}: warm fast-path runs allocated"
+            );
+        }
     }
 }

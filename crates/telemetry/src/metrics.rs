@@ -16,9 +16,15 @@ use std::sync::{Mutex, RwLock};
 /// Number of histogram buckets. Bucket `i` covers values `<= 2^(i + MIN_EXP)`;
 /// the final bucket is the overflow catch-all.
 const BUCKETS: usize = 48;
-/// Exponent of the first bucket's upper bound: 2^-8 = 1/256, small enough
-/// for compute-balance ratios and sigma values well below one.
+/// Exponent of the first bucket's upper bound for modeled values: 2^-8 =
+/// 1/256, small enough for compute-balance ratios and sigma values well
+/// below one.
 const MIN_EXP: i32 = -8;
+/// Exponent of the first bucket's upper bound for wall-clock seconds:
+/// 2^-30 s ≈ 0.93 ns, so per-run phase times of microseconds spread over
+/// real buckets instead of piling into the first one; the last finite
+/// bound is 2^16 s ≈ 18 h.
+const WALL_MIN_EXP: i32 = -30;
 
 /// A fixed-bucket log2 histogram with exact count/sum/min/max sidecars.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,52 +34,60 @@ pub struct Histogram {
     sum: f64,
     min: f64,
     max: f64,
+    /// Exponent of bucket 0's upper bound.
+    min_exp: i32,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
+        Self::with_min_exp(MIN_EXP)
+    }
+}
+
+impl Histogram {
+    /// An empty histogram for modeled values (cycles, bytes, ratios).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty histogram for wall-clock seconds, whose buckets start at
+    /// nanoseconds rather than at the modeled range's 1/256.
+    pub fn wall_clock() -> Self {
+        Self::with_min_exp(WALL_MIN_EXP)
+    }
+
+    fn with_min_exp(min_exp: i32) -> Self {
         Histogram {
             counts: [0; BUCKETS],
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
+            min_exp,
         }
     }
-}
 
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_index(value: f64) -> usize {
+    fn bucket_index(&self, value: f64) -> usize {
         if value.is_nan() {
             return BUCKETS - 1;
         }
-        let mut i = 0;
-        while i < BUCKETS - 1 {
-            if value <= Self::bucket_bound(i) {
-                return i;
-            }
-            i += 1;
-        }
-        BUCKETS - 1
+        (0..BUCKETS - 1)
+            .find(|&i| value <= self.bucket_bound(i))
+            .unwrap_or(BUCKETS - 1)
     }
 
     /// Upper bound of bucket `i` (`+inf` for the overflow bucket).
-    pub fn bucket_bound(i: usize) -> f64 {
+    pub fn bucket_bound(&self, i: usize) -> f64 {
         if i >= BUCKETS - 1 {
             f64::INFINITY
         } else {
-            (2.0f64).powi(i as i32 + MIN_EXP)
+            (2.0f64).powi(i as i32 + self.min_exp)
         }
     }
 
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
-        self.counts[Self::bucket_index(value)] += 1;
+        self.counts[self.bucket_index(value)] += 1;
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -121,7 +135,7 @@ impl Histogram {
             seen += self.counts[i];
             if seen >= target {
                 // Clamp the coarse bucket bound by the exact extrema.
-                return Self::bucket_bound(i).min(self.max).max(self.min);
+                return self.bucket_bound(i).min(self.max).max(self.min);
             }
         }
         self.max
@@ -131,7 +145,7 @@ impl Histogram {
     pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         (0..BUCKETS)
             .filter(|&i| self.counts[i] > 0)
-            .map(|i| (Self::bucket_bound(i), self.counts[i]))
+            .map(|i| (self.bucket_bound(i), self.counts[i]))
             .collect()
     }
 
@@ -335,6 +349,42 @@ mod tests {
         assert!(h.quantile(1.0) <= 100.0);
         assert!(h.quantile(0.0) >= 1.0);
         assert!(h.quantile(0.99) >= p50);
+    }
+
+    #[test]
+    fn wall_clock_percentiles_separate_a_microsecond_distribution() {
+        // 99 per-run phase times of 10..=990 µs plus one 50 ms outlier.
+        // The modeled-value range puts the 99 below its first bound
+        // (1/256 s), so p50 and p99 collapse onto that bound (onto the max
+        // when every sample is that small); the wall-clock range resolves
+        // them.
+        let samples: Vec<f64> = (1..=99).map(|i| i as f64 * 10e-6).chain([50e-3]).collect();
+        let mut wall = Histogram::wall_clock();
+        let mut modeled = Histogram::new();
+        for &s in &samples {
+            wall.observe(s);
+            modeled.observe(s);
+        }
+        let (p50, p99, max) = (wall.quantile(0.5), wall.quantile(0.99), wall.max());
+        assert!(p50 < p99 && p99 < max, "p50 {p50} p99 {p99} max {max}");
+        // Bucket upper bounds: within a factor of two of the true values.
+        assert!((500e-6..=1000e-6).contains(&p50), "p50 {p50}");
+        assert!((990e-6..=1980e-6).contains(&p99), "p99 {p99}");
+        assert_eq!(modeled.quantile(0.5), modeled.quantile(0.99));
+        assert_eq!(wall.sum(), modeled.sum());
+    }
+
+    #[test]
+    fn modeled_histograms_keep_their_bucket_range() {
+        // metrics.tsv/JSON export these bounds; they must not move.
+        let h = Histogram::new();
+        assert_eq!(h.bucket_bound(0), 1.0 / 256.0);
+        assert_eq!(
+            h.bucket_bound(BUCKETS - 2),
+            2.0f64.powi(BUCKETS as i32 - 2 - 8)
+        );
+        assert!(h.bucket_bound(BUCKETS - 1).is_infinite());
+        assert_eq!(Histogram::wall_clock().bucket_bound(0), 2.0f64.powi(-30));
     }
 
     #[test]

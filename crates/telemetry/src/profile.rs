@@ -93,12 +93,23 @@ pub struct WorkerStats {
 ///
 /// All state is wall-clock-derived and therefore scheduling-dependent; the
 /// profiler must never feed the deterministic metrics registry.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PhaseProfiler {
+    /// One wall-clock-range histogram per [`Phase`].
     phases: Mutex<[Histogram; 6]>,
     workers: Mutex<Vec<WorkerStats>>,
     /// Campaign wall seconds (coordinator-measured), summed over campaigns.
     wall: Mutex<f64>,
+}
+
+impl Default for PhaseProfiler {
+    fn default() -> Self {
+        PhaseProfiler {
+            phases: Mutex::new(std::array::from_fn(|_| Histogram::wall_clock())),
+            workers: Mutex::default(),
+            wall: Mutex::default(),
+        }
+    }
 }
 
 impl PhaseProfiler {

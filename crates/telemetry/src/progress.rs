@@ -238,11 +238,14 @@ impl ProgressReporter {
         let heartbeat = if state.stderr != StderrMode::Off || state.jsonl.is_some() {
             let beat = Arc::clone(&state);
             Some(std::thread::spawn(move || loop {
+                // `wait_timeout_while` checks the flag before sleeping, so
+                // a `finish()` that lands before this thread first waits
+                // is never lost (and spurious wakeups never emit early).
                 let stopped = {
                     let guard = lock_clean(&beat.shutdown);
                     let (guard, _) = beat
                         .wake
-                        .wait_timeout(guard, interval)
+                        .wait_timeout_while(guard, interval, |stop| !*stop)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     *guard
                 };
@@ -388,6 +391,26 @@ mod tests {
         drop(r);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1, "exactly one final line");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finish_right_after_new_does_not_wait_out_the_interval() {
+        // Regression: the heartbeat used to sleep a full interval when
+        // `finish()` raced ahead of its first wait.
+        let dir = scratch("prompt");
+        let path = dir.join("p.jsonl");
+        for _ in 0..20 {
+            let start = Instant::now();
+            let mut r =
+                ProgressReporter::new(StderrMode::Off, Some(&path), Duration::from_secs(3600));
+            r.finish();
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "finish() waited {:?} on a 3600 s heartbeat",
+                start.elapsed()
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
