@@ -32,8 +32,108 @@
 //! of variation `cv = stddev / mean`) so a gate verdict can be read against
 //! how noisy the machine actually was. `--check` prints the noise figure
 //! alongside the delta.
+//!
+//! Every recorded point also carries the [`HostFingerprint`] of the
+//! machine that measured it, and `--check` says whether the baseline's
+//! fingerprint matches the current host: a verdict against a point from
+//! another machine compares the machines as much as the code.
 
 use serde::Value;
+
+/// What identifies the machine and build behind a measurement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostFingerprint {
+    /// Hardware threads available to the process.
+    pub nproc: u64,
+    /// `model name` from `/proc/cpuinfo` (`unknown` where absent).
+    pub cpu_model: String,
+    /// `rustc --version` of the toolchain on `PATH` (`unknown` when it
+    /// cannot be run).
+    pub rustc: String,
+    /// `release` or `debug`: the build profile of this binary.
+    pub profile: String,
+}
+
+impl HostFingerprint {
+    /// The fingerprint of the running host and binary.
+    pub fn current() -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split(':').nth(1))
+                    .map(|m| m.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let rustc = std::process::Command::new("rustc")
+            .arg("--version")
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
+        HostFingerprint {
+            nproc: copernicus::default_jobs() as u64,
+            cpu_model,
+            rustc,
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            }
+            .to_string(),
+        }
+    }
+
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("nproc".to_string(), Value::UInt(self.nproc)),
+            ("cpu_model".to_string(), Value::Str(self.cpu_model.clone())),
+            ("rustc".to_string(), Value::Str(self.rustc.clone())),
+            ("profile".to_string(), Value::Str(self.profile.clone())),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Option<HostFingerprint> {
+        Some(HostFingerprint {
+            nproc: v.get("nproc")?.as_u64()?,
+            cpu_model: v.get("cpu_model")?.as_str()?.to_string(),
+            rustc: v.get("rustc")?.as_str()?.to_string(),
+            profile: v.get("profile")?.as_str()?.to_string(),
+        })
+    }
+}
+
+/// One line saying whether a baseline point was measured on `current`'s
+/// host, naming each field that differs.
+pub fn host_comparison(baseline: Option<&HostFingerprint>, current: &HostFingerprint) -> String {
+    let Some(base) = baseline else {
+        return "baseline host: unrecorded (the point predates host fingerprints)".to_string();
+    };
+    let mut diffs = Vec::new();
+    if base.nproc != current.nproc {
+        diffs.push(format!("nproc {} vs {}", base.nproc, current.nproc));
+    }
+    for (name, b, c) in [
+        ("cpu", &base.cpu_model, &current.cpu_model),
+        ("rustc", &base.rustc, &current.rustc),
+        ("profile", &base.profile, &current.profile),
+    ] {
+        if b != c {
+            diffs.push(format!("{name} {b:?} vs {c:?}"));
+        }
+    }
+    if diffs.is_empty() {
+        "baseline host: same as this host".to_string()
+    } else {
+        format!(
+            "baseline host: DIFFERS ({}) — a cross-host verdict",
+            diffs.join(", ")
+        )
+    }
+}
 
 /// One labeled measurement in `BENCH_trajectory.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +165,9 @@ pub struct TrajectoryPoint {
     /// noise figure. Points recorded before these fields existed recompute
     /// both from `runs_secs` on parse.
     pub cv: f64,
+    /// The measuring host; `None` for points recorded before fingerprints
+    /// existed.
+    pub host: Option<HostFingerprint>,
 }
 
 /// `(population stddev, coefficient of variation)` of a wall-time sample.
@@ -80,7 +183,7 @@ pub fn noise_stats(runs: &[f64], mean: f64) -> (f64, f64) {
 
 impl TrajectoryPoint {
     fn to_value(&self) -> Value {
-        Value::Map(vec![
+        let mut fields = vec![
             ("label".to_string(), Value::Str(self.label.clone())),
             ("cmd".to_string(), Value::Str(self.cmd.clone())),
             ("scale".to_string(), Value::Str(self.scale.clone())),
@@ -95,7 +198,11 @@ impl TrajectoryPoint {
             ("mean_secs".to_string(), Value::Float(self.mean_secs)),
             ("stddev_secs".to_string(), Value::Float(self.stddev_secs)),
             ("cv".to_string(), Value::Float(self.cv)),
-        ])
+        ];
+        if let Some(host) = &self.host {
+            fields.push(("host".to_string(), host.to_value()));
+        }
+        Value::Map(fields)
     }
 
     fn from_value(v: &Value) -> Option<TrajectoryPoint> {
@@ -134,6 +241,7 @@ impl TrajectoryPoint {
                 .and_then(Value::as_f64)
                 .unwrap_or(stddev_default),
             cv: v.get("cv").and_then(Value::as_f64).unwrap_or(cv_default),
+            host: v.get("host").and_then(HostFingerprint::from_value),
         })
     }
 }
@@ -430,20 +538,27 @@ pub fn perf(args: Vec<String>) -> i32 {
         }
     };
 
-    if check {
+    let host = (check || record.is_some()).then(HostFingerprint::current);
+    if let (true, Some(host)) = (check, &host) {
         match find_baseline(&points, &cmd, scale, jobs as u64, &backend) {
-            Some(point) => match regression_gate(point.best_secs, best, threshold_pct) {
-                Ok(delta) => println!(
-                    "regression gate OK: best {best:.3}s is {delta:+.1}% vs \"{}\" ({:.3}s, threshold {threshold_pct:.0}%; sample noise cv {:.1}%)",
-                    point.label,
-                    point.best_secs,
-                    cv * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("perf: {msg} (vs trajectory point \"{}\")", point.label);
-                    return 1;
+            Some(point) => {
+                let hosts = host_comparison(point.host.as_ref(), host);
+                match regression_gate(point.best_secs, best, threshold_pct) {
+                    Ok(delta) => println!(
+                        "regression gate OK: best {best:.3}s is {delta:+.1}% vs \"{}\" ({:.3}s, threshold {threshold_pct:.0}%; sample noise cv {:.1}%; {hosts})",
+                        point.label,
+                        point.best_secs,
+                        cv * 100.0
+                    ),
+                    Err(msg) => {
+                        eprintln!(
+                            "perf: {msg} (vs trajectory point \"{}\"; {hosts})",
+                            point.label
+                        );
+                        return 1;
+                    }
                 }
-            },
+            }
             // No comparable history: the first measurement of a new
             // command/scale/jobs combination is its own baseline, so the
             // gate passes vacuously rather than erroring. (Failing here
@@ -470,6 +585,7 @@ pub fn perf(args: Vec<String>) -> i32 {
             mean_secs: mean,
             stddev_secs: stddev,
             cv,
+            host,
         });
         if let Err(e) =
             copernicus_telemetry::atomic_write(&trajectory_path, render_trajectory(&points))
@@ -506,6 +622,7 @@ mod tests {
             mean_secs: mean,
             stddev_secs,
             cv,
+            host: None,
         }
     }
 
@@ -514,6 +631,50 @@ mod tests {
         let points = vec![point("a", "quick", 1, 0.5), point("b", "paper", 4, 30.0)];
         let parsed = parse_trajectory(&render_trajectory(&points));
         assert_eq!(parsed, points);
+    }
+
+    #[test]
+    fn host_fingerprints_round_trip_and_legacy_points_have_none() {
+        let host = HostFingerprint {
+            nproc: 2,
+            cpu_model: "Example CPU @ 2.0GHz".to_string(),
+            rustc: "rustc 1.0.0".to_string(),
+            profile: "release".to_string(),
+        };
+        let mut fingerprinted = point("new", "quick", 1, 0.5);
+        fingerprinted.host = Some(host.clone());
+        let points = vec![point("old", "quick", 1, 0.5), fingerprinted];
+        let rendered = render_trajectory(&points);
+        assert_eq!(rendered.matches("\"host\"").count(), 1);
+        let parsed = parse_trajectory(&rendered);
+        assert_eq!(parsed, points);
+        assert_eq!(parsed[0].host, None);
+        assert_eq!(parsed[1].host.as_ref(), Some(&host));
+    }
+
+    #[test]
+    fn host_comparison_names_every_differing_field() {
+        let here = HostFingerprint {
+            nproc: 2,
+            cpu_model: "A".to_string(),
+            rustc: "rustc 1.0.0".to_string(),
+            profile: "release".to_string(),
+        };
+        assert_eq!(
+            host_comparison(Some(&here), &here),
+            "baseline host: same as this host"
+        );
+        assert!(host_comparison(None, &here).contains("unrecorded"));
+        let there = HostFingerprint {
+            nproc: 8,
+            cpu_model: "B".to_string(),
+            ..here.clone()
+        };
+        let line = host_comparison(Some(&there), &here);
+        assert!(line.contains("DIFFERS"), "{line}");
+        assert!(line.contains("nproc 8 vs 2"), "{line}");
+        assert!(line.contains("cpu \"B\" vs \"A\""), "{line}");
+        assert!(!line.contains("rustc"), "{line}");
     }
 
     #[test]

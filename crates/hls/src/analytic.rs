@@ -15,10 +15,15 @@
 //! sums that cancel), so such tiles go back to the functional path —
 //! [`TileCost::from_tile`] answers `None` for them. Entry order does not
 //! matter: nothing here assumes sorted tiles.
+//!
+//! None of the counts depends on the format, so a session scans each tile
+//! of a grid once: [`TileMemo`] keeps the counts of the last grid priced,
+//! and every later format on that grid pays only the closed forms
+//! ([`TileCost::from_stats`]).
 
 use crate::backend::TileCost;
 use crate::{decomp, encode, EncodeScratch, HwConfig};
-use sparsemat::{Coo, FormatKind, Matrix};
+use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
 
 /// Per-tile counts the closed forms read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,6 +127,58 @@ impl TileScan {
     }
 }
 
+/// The per-tile counts of the last grid a session priced analytically, so
+/// the formats after the first one in a sweep skip the scan.
+///
+/// `stats` is a prefix of the grid in grid order, filled lazily as the
+/// serial fast-path loop reaches each tile: a cancelled or failed run
+/// leaves a valid prefix that the next run on the same key extends. A
+/// refused tile is memoized as `None` and takes the functional path on
+/// every format. A different key clears the memo but keeps its capacity,
+/// so memory stays bounded by the largest grid seen and a warm session
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct TileMemo {
+    /// The grid's [`id`](PartitionGrid::id) and the two configuration
+    /// fields the scan reads, `partition_size` and `bcsr_block`.
+    key: Option<(u64, usize, usize)>,
+    stats: Vec<Option<TileStats>>,
+}
+
+impl TileMemo {
+    /// Points the memo at `grid` scanned under `cfg`; keeps the prefix
+    /// when that is what it already holds.
+    pub(crate) fn begin(&mut self, grid: &PartitionGrid<f32>, cfg: &HwConfig) {
+        let key = (grid.id(), cfg.partition_size, cfg.bcsr_block);
+        if self.key != Some(key) {
+            self.key = Some(key);
+            self.stats.clear();
+            self.stats.reserve(grid.partitions().len());
+        }
+    }
+
+    /// The counts of tile `idx` of the current grid, scanning it with
+    /// `scan` the first time it is reached.
+    pub(crate) fn stats(
+        &mut self,
+        idx: usize,
+        tile: &Coo<f32>,
+        scan: &mut TileScan,
+    ) -> Option<TileStats> {
+        if let Some(&s) = self.stats.get(idx) {
+            return s;
+        }
+        let (_, p, b) = self.key?;
+        let s = scan.scan(tile, p, b);
+        // The serial loop visits tiles in grid order, so the next unseen
+        // tile is always the one at the end of the prefix.
+        if idx == self.stats.len() {
+            self.stats.push(s);
+        }
+        s
+    }
+}
+
 impl TileCost {
     /// Prices `tile` in `format` from its counts alone: the analytic fast
     /// path. Equal field for field to [`TileCost::functional`] over the
@@ -142,8 +199,19 @@ impl TileCost {
         let s = scratch
             .tile_scan()
             .scan(tile, cfg.partition_size, cfg.bcsr_block)?;
-        let bytes = encode::structural_bytes(format, &s, cfg)?;
-        let d = decomp::closed_form(format, &s, cfg)?;
+        TileCost::from_stats(&s, format, cfg)
+    }
+
+    /// Prices a tile in `format` from counts already gathered by the scan
+    /// under `cfg`'s `partition_size` and `bcsr_block`; `None` when
+    /// `format` is not characterized.
+    pub(crate) fn from_stats(
+        s: &TileStats,
+        format: FormatKind,
+        cfg: &HwConfig,
+    ) -> Option<TileCost> {
+        let bytes = encode::structural_bytes(format, s, cfg)?;
+        let d = decomp::closed_form(format, s, cfg)?;
         Some(TileCost {
             bytes,
             coded_bytes: bytes,

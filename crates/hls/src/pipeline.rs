@@ -526,6 +526,9 @@ impl Platform {
                 return Err(PlatformError::Cancelled);
             }
         } else {
+            if analytic {
+                scratch.begin_tile_memo(grid, &self.cfg);
+            }
             for (idx, part) in grid.partitions().iter().enumerate() {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);
@@ -556,11 +559,12 @@ impl Platform {
         Ok(report)
     }
 
-    /// Prices one tile of a serial pass. With `analytic` set, a tile the
-    /// scan accepts is priced from its counts ([`TileCost::from_tile`]) and
-    /// no decompression is returned; every other tile (duplicate
-    /// coordinates, stored zeros) takes [`Platform::process_partition`].
-    /// Scan time is not lapped, so a profiler books it under the run's
+    /// Prices tile `idx` of a serial pass. With `analytic` set, a tile the
+    /// scan accepts is priced from its counts ([`TileCost::from_stats`]),
+    /// memoized in `scratch` across the formats of a sweep, and no
+    /// decompression is returned; every other tile (duplicate coordinates,
+    /// stored zeros) takes [`Platform::process_partition`]. Scan time is
+    /// not lapped, so a profiler books it under the run's
     /// [`Phase::Compute`] residual.
     #[allow(clippy::too_many_arguments)]
     fn price_partition<S: TraceSink + ?Sized>(
@@ -574,7 +578,8 @@ impl Platform {
         acc: &mut PhaseAcc,
     ) -> Result<(PartitionTiming, Option<Decompression>), PlatformError> {
         if analytic {
-            if let Some(cost) = TileCost::from_tile(&part.coo, format, &self.cfg, scratch) {
+            let stats = scratch.tile_stats(idx, &part.coo);
+            if let Some(cost) = stats.and_then(|s| TileCost::from_stats(&s, format, &self.cfg)) {
                 let timing = backend_for(self.cfg.backend).tile_timing(&cost, &self.cfg);
                 return Ok((timing, None));
             }
@@ -896,6 +901,9 @@ impl Platform {
                 return Err(PlatformError::Cancelled);
             }
         } else {
+            if analytic {
+                scratch.begin_tile_memo(grid, &self.cfg);
+            }
             for (idx, part) in grid.partitions().iter().enumerate() {
                 if self.cancelled() {
                     return Err(PlatformError::Cancelled);

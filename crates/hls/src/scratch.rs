@@ -17,11 +17,12 @@
 //! the bytes of every report, trace span and measurement are identical to
 //! the allocating path (test-enforced).
 
-use crate::analytic::TileScan;
+use crate::analytic::{TileMemo, TileScan, TileStats};
 use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
-use sparsemat::{AnyMatrix, Coo, FormatKind, Matrix, Triplet};
+use crate::HwConfig;
+use sparsemat::{AnyMatrix, Coo, FormatKind, Matrix, PartitionGrid, Triplet};
 
 /// Reusable buffers threaded through the encode → decompress → verify path
 /// so steady-state tile processing performs no heap allocation.
@@ -65,6 +66,8 @@ pub struct EncodeScratch {
     codec: CodecScratch,
     /// Count and bitmap buffers of the analytic fast path's tile scan.
     scan: TileScan,
+    /// The fast path's per-tile counts of the last grid it priced.
+    memo: TileMemo,
     /// Per-worker scratches for the intra-run tile-parallel path, kept warm
     /// between runs of the same session.
     workers: Vec<EncodeScratch>,
@@ -111,6 +114,19 @@ impl EncodeScratch {
     /// The analytic fast path's tile-scan buffers.
     pub(crate) fn tile_scan(&mut self) -> &mut TileScan {
         &mut self.scan
+    }
+
+    /// Points the fast path's tile-count memo at `grid` scanned under
+    /// `cfg`, so every format priced on it shares one scan per tile; see
+    /// [`TileMemo`].
+    pub(crate) fn begin_tile_memo(&mut self, grid: &PartitionGrid<f32>, cfg: &HwConfig) {
+        self.memo.begin(grid, cfg);
+    }
+
+    /// The memoized counts of tile `idx` of the memo's grid, scanned on
+    /// first use; `None` when the scan refuses the tile.
+    pub(crate) fn tile_stats(&mut self, idx: usize, tile: &Coo<f32>) -> Option<TileStats> {
+        self.memo.stats(idx, tile, &mut self.scan)
     }
 
     /// Takes exactly `n` worker scratches for a tile-parallel pass,

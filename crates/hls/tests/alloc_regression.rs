@@ -152,5 +152,25 @@ fn warm_fast_path_runs_allocation_free_per_tile() {
                 "{kind} p={p}: warm fast-path runs allocated"
             );
         }
+        // One session sweeping every format: the first run on the large
+        // grid fills the tile-count memo and the later formats only read
+        // it. The small grid has fewer tiles, so re-keying the memo to it
+        // reuses the capacity the large grid left.
+        let mut session = Session::new(cfg.clone()).unwrap();
+        let (&first, rest) = FormatKind::CHARACTERIZED.split_first().unwrap();
+        session.run(RunRequest::grid(&large_grid, first)).unwrap();
+        for &kind in rest {
+            let (allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&large_grid, kind)).unwrap());
+            assert_eq!(allocs, 0, "{kind} p={p}: a memoized format allocated");
+        }
+        for kind in FormatKind::CHARACTERIZED {
+            let (allocs, _) =
+                count_allocs(|| session.run(RunRequest::grid(&small_grid, kind)).unwrap());
+            assert_eq!(
+                allocs, 0,
+                "{kind} p={p}: re-keying to a smaller grid allocated"
+            );
+        }
     }
 }

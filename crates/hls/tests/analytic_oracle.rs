@@ -13,15 +13,24 @@
 //! Run level: over the same grid, a session with functional verification
 //! on (always the functional path) must report exactly what a session with
 //! it off (the fast path) reports — plain, traced, and with lanes.
+//!
+//! Memo level: a session scans each tile of a grid once and reuses the
+//! counts for every later format on that grid. A warm session must report
+//! exactly what a fresh one does — across grid switches, re-tiled matrix
+//! inputs, backend overrides, lanes runs, and after a cancelled or failed
+//! run — and tiles the scan refuses must reach the encoder on every format.
 
 use copernicus_hls::{
     backend_for, decompress_with, BackendKind, EncodeScratch, EncodedPartition, HwConfig,
-    PartitionTiming, RunRequest, Session, TileCost,
+    PartitionTiming, PlatformError, RunOutcome, RunRequest, Session, TileCost,
 };
-use copernicus_telemetry::{Phase, PhaseProfiler, RecordingSink};
+use copernicus_telemetry::{
+    CancelToken, Phase, PhaseProfiler, PipelineEvent, RecordingSink, TraceSink,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sparsemat::{Coo, FormatKind, PartitionGrid, Triplet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const SIZES: [usize; 6] = [1, 6, 8, 16, 17, 32];
@@ -269,4 +278,153 @@ fn whole_runs_agree_with_verification_on_and_off() {
             }
         }
     }
+}
+
+/// What a fresh session on `cfg`, costed on `backend`, reports for
+/// `request`.
+fn fresh(cfg: &HwConfig, backend: BackendKind, request: RunRequest<'_>) -> RunOutcome {
+    let cfg = HwConfig {
+        backend,
+        ..cfg.clone()
+    };
+    Session::new(cfg)
+        .expect("config")
+        .run(request)
+        .expect("fresh run")
+}
+
+fn grid(n: usize, p: usize, dups: bool, rng: &mut SmallRng) -> PartitionGrid<f32> {
+    PartitionGrid::from_triplets(n, n, matrix(n, dups, rng), p).expect("tiling")
+}
+
+#[test]
+fn memoized_sweeps_match_fresh_sessions_across_grids() {
+    let mut rng = SmallRng::seed_from_u64(0x3e30_0001);
+    let (p, n) = (16, 3 * 16 + 5);
+    let cfg = config(p, 4, false);
+    // Grid A mixes refused (duplicate) tiles with clean ones; B has as
+    // many tiles but other counts; the matrix input is re-tiled into a
+    // new grid on every run.
+    let a = grid(n, p, true, &mut rng);
+    let b = grid(n, p, false, &mut rng);
+    let m = Coo::from_triplets(n, n, matrix(n, true, &mut rng)).expect("in range");
+    let mut warm = Session::new(cfg.clone()).expect("config");
+    for (name, g) in [
+        ("A", Some(&a)),
+        ("matrix", None),
+        ("B", Some(&b)),
+        ("A again", Some(&a)),
+    ] {
+        for backend in BackendKind::ALL {
+            for kind in FormatKind::CHARACTERIZED {
+                let request = || match g {
+                    Some(g) => RunRequest::grid(g, kind),
+                    None => RunRequest::matrix(&m, kind),
+                };
+                let got = warm.run(request().backend(backend)).expect("warm run");
+                assert_eq!(
+                    got,
+                    fresh(&cfg, backend, request()),
+                    "{name}: {kind}/{backend}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lanes_runs_on_a_memoized_grid_match_a_fresh_session() {
+    let mut rng = SmallRng::seed_from_u64(0x3e30_0002);
+    let cfg = config(8, 3, false);
+    let g = grid(45, 8, true, &mut rng);
+    let mut warm = Session::new(cfg.clone()).expect("config");
+    for kind in FormatKind::CHARACTERIZED {
+        warm.run(RunRequest::grid(&g, kind)).expect("warm run");
+    }
+    for kind in FormatKind::CHARACTERIZED {
+        let got = warm
+            .run(RunRequest::grid(&g, kind).with_lanes(4))
+            .expect("lanes run");
+        let want = fresh(&cfg, cfg.backend, RunRequest::grid(&g, kind).with_lanes(4));
+        assert_eq!(got, want, "{kind}: lanes");
+    }
+}
+
+/// Cancels `token` once `tiles` partitions have been traced, so the run
+/// stops at the next per-partition poll.
+struct CancelAfter {
+    token: CancelToken,
+    tiles: usize,
+}
+
+impl TraceSink for CancelAfter {
+    fn record(&mut self, event: &PipelineEvent) {
+        if let PipelineEvent::PartitionStart { .. } = event {
+            self.tiles = self.tiles.saturating_sub(1);
+            if self.tiles == 0 {
+                self.token.cancel();
+            }
+        }
+    }
+}
+
+#[test]
+fn cancelled_and_failed_runs_leave_a_memo_the_next_run_extends() {
+    let mut rng = SmallRng::seed_from_u64(0x3e30_0003);
+    let cfg = config(16, 4, false);
+    let g = grid(3 * 16 + 5, 16, true, &mut rng);
+    assert!(g.nonzero_tiles() > 3);
+    let token = CancelToken::new();
+    let mut warm = Session::new(cfg.clone())
+        .expect("config")
+        .with_cancel(token.clone());
+    let mut sink = CancelAfter { token, tiles: 3 };
+    let cancelled = warm.run(RunRequest::grid(&g, FormatKind::Csr).with_sink(&mut sink));
+    assert!(
+        matches!(cancelled, Err(PlatformError::Cancelled)),
+        "{cancelled:?}"
+    );
+    warm.set_cancel(None);
+    // A format the platform does not characterize fails the run.
+    assert!(warm.run(RunRequest::grid(&g, FormatKind::Sell)).is_err());
+    for kind in FormatKind::CHARACTERIZED {
+        let got = warm.run(RunRequest::grid(&g, kind)).expect("rerun");
+        assert_eq!(
+            got,
+            fresh(&cfg, cfg.backend, RunRequest::grid(&g, kind)),
+            "{kind}"
+        );
+    }
+}
+
+#[test]
+fn refused_tiles_reach_the_encoder_on_every_format() {
+    let mut rng = SmallRng::seed_from_u64(0x3e30_0004);
+    let (p, n) = (8, 40);
+    // A clean matrix with a few repeated coordinates: most tiles are
+    // clean, the ones holding a repeat are refused by the scan.
+    let mut triplets = matrix(n, false, &mut rng);
+    for _ in 0..4 {
+        let t = triplets[rng.gen_range(0..triplets.len())];
+        triplets.push(Triplet::new(t.row, t.col, value(&mut rng)));
+    }
+    let g = PartitionGrid::from_triplets(n, n, triplets, p).expect("tiling");
+    let refused = g
+        .partitions()
+        .iter()
+        .filter(|part| {
+            let mut seen = HashSet::new();
+            part.coo.iter().any(|t| !seen.insert((t.row, t.col)))
+        })
+        .count() as u64;
+    assert!(refused > 0 && (refused as usize) < g.nonzero_tiles());
+    let profiler = Arc::new(PhaseProfiler::new());
+    let mut warm = Session::new(config(p, 4, false))
+        .expect("config")
+        .with_profiler(Arc::clone(&profiler));
+    let formats = FormatKind::CHARACTERIZED.len() as u64;
+    for kind in FormatKind::CHARACTERIZED {
+        warm.run(RunRequest::grid(&g, kind)).expect("run");
+    }
+    assert_eq!(profiler.laps(Phase::Encode), refused * formats);
 }

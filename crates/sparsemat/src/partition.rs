@@ -8,6 +8,7 @@
 //! statistics (partition density, non-zero-row density, non-zero-row share).
 
 use crate::{Coo, Matrix, Scalar, SparseError, Triplet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The partition sizes the paper sweeps ("practical partition sizes of 8,
 /// 16, and 32", §4.2).
@@ -45,9 +46,13 @@ impl<T: Scalar> Partition<T> {
     }
 }
 
+/// Source of [`PartitionGrid::id`]s.
+static NEXT_GRID_ID: AtomicU64 = AtomicU64::new(0);
+
 /// A matrix tiled into `p×p` partitions with the all-zero tiles dropped.
 #[derive(Debug, Clone)]
 pub struct PartitionGrid<T> {
+    id: u64,
     nrows: usize,
     ncols: usize,
     size: usize,
@@ -111,11 +116,24 @@ impl<T: Scalar> PartitionGrid<T> {
             })
             .collect();
         Ok(PartitionGrid {
+            id: NEXT_GRID_ID.fetch_add(1, Ordering::Relaxed),
             nrows,
             ncols,
             size,
             partitions,
         })
+    }
+
+    /// A process-unique identity, fixed at construction and shared by
+    /// clones.
+    ///
+    /// A grid never changes after it is built, so two grids with the same
+    /// id hold the same tiles: the id is a safe key for anything derived
+    /// from the tiles (the analytic fast path memoizes its per-tile counts
+    /// under it). An address would not be — a dropped grid's memory can be
+    /// reused by a different grid.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Original matrix shape.
@@ -340,6 +358,14 @@ mod tests {
         let stats = grid.stats();
         assert_eq!(stats.nonzero_partitions, 0);
         assert_eq!(stats.partition_density_pct, 0.0);
+    }
+
+    #[test]
+    fn ids_are_unique_per_construction_and_shared_by_clones() {
+        let a = PartitionGrid::new(&sample(), 4).unwrap();
+        let b = PartitionGrid::new(&sample(), 4).unwrap();
+        assert_ne!(a.id(), b.id(), "equal tiles, distinct constructions");
+        assert_eq!(a.clone().id(), a.id());
     }
 
     #[test]

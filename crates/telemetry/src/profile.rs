@@ -97,6 +97,8 @@ pub struct WorkerStats {
 pub struct PhaseProfiler {
     /// One wall-clock-range histogram per [`Phase`].
     phases: Mutex<[Histogram; 6]>,
+    /// Per-tile laps per [`Phase`] across every flushed run.
+    laps: Mutex<[u64; 6]>,
     workers: Mutex<Vec<WorkerStats>>,
     /// Campaign wall seconds (coordinator-measured), summed over campaigns.
     wall: Mutex<f64>,
@@ -106,6 +108,7 @@ impl Default for PhaseProfiler {
     fn default() -> Self {
         PhaseProfiler {
             phases: Mutex::new(std::array::from_fn(|_| Histogram::wall_clock())),
+            laps: Mutex::default(),
             workers: Mutex::default(),
             wall: Mutex::default(),
         }
@@ -147,6 +150,17 @@ impl PhaseProfiler {
             }
         }
         phases[Phase::Compute.index()].observe((run_secs - accounted).max(0.0));
+        drop(phases);
+        for (total, n) in lock_clean(&self.laps).iter_mut().zip(acc.laps) {
+            *total += n;
+        }
+    }
+
+    /// Per-tile laps booked to `phase` by every flushed run — for
+    /// [`Phase::Encode`], the number of tiles that reached the encoder.
+    /// The histograms hold one observation per run instead.
+    pub fn laps(&self, phase: Phase) -> u64 {
+        lock_clean(&self.laps)[phase.index()]
     }
 
     /// Adds one campaign's pool observation: per-worker busy seconds and
@@ -280,6 +294,7 @@ pub struct PhaseAcc {
     enabled: bool,
     last: Option<Instant>,
     totals: [f64; 6],
+    laps: [u64; 6],
 }
 
 impl PhaseAcc {
@@ -289,6 +304,7 @@ impl PhaseAcc {
             enabled,
             last: None,
             totals: [0.0; 6],
+            laps: [0; 6],
         }
     }
 
@@ -314,6 +330,7 @@ impl PhaseAcc {
         if let Some(last) = self.last {
             self.totals[phase.index()] += now.duration_since(last).as_secs_f64();
         }
+        self.laps[phase.index()] += 1;
         self.last = Some(now);
     }
 
@@ -331,6 +348,9 @@ impl PhaseAcc {
         if other.enabled {
             for (t, o) in self.totals.iter_mut().zip(other.totals) {
                 *t += o;
+            }
+            for (n, o) in self.laps.iter_mut().zip(other.laps) {
+                *n += o;
             }
         }
     }
@@ -351,10 +371,18 @@ mod tests {
         acc.mark();
         acc.lap(Phase::Encode);
         acc.lap(Phase::Decompress);
+        acc.lap(Phase::Encode);
+        let mut worker = PhaseAcc::new(true);
+        worker.mark();
+        worker.lap(Phase::Encode);
+        acc.merge(&worker);
         p.flush_run(&acc, 1.0);
         assert!(p.has_data());
         assert_eq!(p.histogram(Phase::CacheLookup).unwrap().count(), 1);
+        // One histogram observation per run, one lap per tile.
         assert_eq!(p.histogram(Phase::Encode).unwrap().count(), 1);
+        assert_eq!(p.laps(Phase::Encode), 3);
+        assert_eq!(p.laps(Phase::Decompress), 1);
         // Compute is the residual of the run time.
         let compute = p.histogram(Phase::Compute).unwrap();
         assert_eq!(compute.count(), 1);
@@ -370,6 +398,7 @@ mod tests {
         acc.lap(Phase::Encode);
         p.flush_run(&acc, 5.0);
         assert!(!p.has_data());
+        assert_eq!(p.laps(Phase::Encode), 0);
         assert_eq!(acc.total(Phase::Encode), 0.0);
     }
 
