@@ -707,31 +707,6 @@ impl Platform {
         });
         (returned, slots)
     }
-
-    /// Runs a single `p×p` tile (already in tile-local coordinates) through
-    /// encode → decompress → dot-product accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding failures and functional mismatches (when
-    /// [`HwConfig::verify_functional`] is set).
-    pub fn run_partition(
-        &self,
-        tile: Coo<f32>,
-        format: FormatKind,
-        grid_pos: (usize, usize),
-    ) -> Result<PartitionTiming, PlatformError> {
-        self.process_partition(
-            &tile,
-            format,
-            grid_pos,
-            &mut NullSink,
-            0,
-            &mut EncodeScratch::new(),
-            &mut PhaseAcc::disabled(),
-        )
-        .map(|(timing, _)| timing)
-    }
 }
 
 /// The dot-product engine consuming one decompressed partition during SpMV:

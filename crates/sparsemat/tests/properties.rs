@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use sparsemat::{
-    ops, Axis, Bcsr, Coo, Csc, Csr, Dia, Dok, Ell, FormatKind, Jds, Lil, Matrix, PartitionGrid,
-    Sell, Triplet,
+    Axis, Bcsr, Coo, Csc, Csr, Dia, Dok, Ell, FormatKind, Jds, Lil, Matrix, PartitionGrid, Sell,
+    Triplet,
 };
 
 /// Strategy: a random COO matrix with unique coordinates and small integer
@@ -183,48 +183,6 @@ proptest! {
         dok.set(0, 0, 0.0).unwrap();
         dense[(0, 0)] = 0.0;
         prop_assert!(dense.structurally_eq(&dok));
-    }
-
-    #[test]
-    fn add_sub_scale_identities(coo in coo_strategy()) {
-        // A + A == 2A, A - A == 0.
-        let twice = ops::add(&coo, &coo).unwrap();
-        let scaled = ops::scale(&coo, 2.0);
-        prop_assert!(twice.to_dense().structurally_eq(&scaled));
-        prop_assert_eq!(ops::sub(&coo, &coo).unwrap().nnz(), 0);
-    }
-
-    #[test]
-    fn spmm_against_dense_reference(
-        (a, b) in coo_strategy().prop_flat_map(|a| {
-            let inner = a.ncols();
-            let b = (1usize..=12).prop_flat_map(move |ncols| {
-                let cells = inner * ncols;
-                proptest::collection::btree_map(
-                    0..cells,
-                    prop_oneof![-9i32..0, 1i32..=9],
-                    0..=cells.min(40),
-                )
-                .prop_map(move |map| {
-                    let triplets = map
-                        .into_iter()
-                        .map(|(cell, v)| Triplet::new(cell / ncols, cell % ncols, v as f32))
-                        .collect();
-                    Coo::from_triplets(inner, ncols, triplets).expect("coords in range")
-                })
-            });
-            (Just(a), b)
-        })
-    ) {
-        let p = ops::spmm(&Csr::from(&a), &Csr::from(&b)).unwrap();
-        let ad = a.to_dense();
-        let bd = b.to_dense();
-        for r in 0..a.nrows() {
-            for c in 0..b.ncols() {
-                let want: f32 = (0..a.ncols()).map(|k| ad[(r, k)] * bd[(k, c)]).sum();
-                prop_assert_eq!(p.get(r, c), want);
-            }
-        }
     }
 }
 

@@ -4,16 +4,17 @@
 //!
 //! Builds a pruned 3-layer MLP twice — once with unstructured (magnitude)
 //! pruning, once with structured block pruning at the same density — runs
-//! the same input through both (the math agrees), and compares what the
-//! accelerator pays for each layer's SpMV.
+//! the same input through both, and compares what the accelerator pays for
+//! each layer's SpMV. Each layer's forward pass is `relu(W·x)` with the
+//! SpMV streamed through the modeled datapath, so the logits match a
+//! software forward pass up to float summation order.
 //!
 //! ```sh
 //! cargo run -p copernicus-repro --example nn_inference
 //! ```
 
 use copernicus::table::{f3, TextTable};
-use copernicus_hls::{HwConfig, RunRequest, Session};
-use copernicus_solvers::{sparse_mlp_forward, SparseLayer};
+use copernicus_hls::{HwConfig, PlatformError, RunRequest, Session};
 use copernicus_workloads::{ml, seeded_rng};
 use sparsemat::{Coo, FormatKind, Matrix, PartitionGrid};
 
@@ -36,19 +37,31 @@ fn build_mlp(structured: bool, seed: u64) -> Vec<(String, Coo<f32>)> {
         .collect()
 }
 
+/// Runs the MLP forward pass, one `relu(W·x)` per layer, on the modeled
+/// accelerator.
+fn forward(
+    session: &mut Session,
+    weights: &[(String, Coo<f32>)],
+    input: &[f32],
+) -> Result<Vec<f32>, PlatformError> {
+    let mut x = input.to_vec();
+    for (_, w) in weights {
+        let outcome = session.run(RunRequest::matrix(w, FormatKind::Csr).consume_spmv(&x))?;
+        x = outcome.y.unwrap_or_default();
+        for v in &mut x {
+            *v = v.max(0.0);
+        }
+    }
+    Ok(x)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = Session::new(HwConfig::with_partition_size(8))?;
     let input: Vec<f32> = (0..DIMS[0]).map(|i| ((i % 11) as f32) / 11.0).collect();
 
     for (name, structured) in [("unstructured", false), ("block-structured", true)] {
         let weights = build_mlp(structured, 77);
-
-        // Functional forward pass through the software kernels.
-        let layers: Vec<SparseLayer> = weights
-            .iter()
-            .map(|(_, w)| SparseLayer::new(w, vec![0.0; w.nrows()], true))
-            .collect::<Result<_, _>>()?;
-        let logits = sparse_mlp_forward(&layers, &input)?;
+        let logits = forward(&mut session, &weights, &input)?;
 
         println!("\n== {name} pruning (density {DENSITY}) ==");
         println!("logit head: {:?}", &logits[..4.min(logits.len())]);

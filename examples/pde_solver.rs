@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          per-row diagonal scan stays cheap here. §8 of the paper warns the \n\
          DIA/row-engine mismatch becomes a compute bottleneck as non-zeros \n\
          scatter over many partial diagonals — see `cargo run -p \n\
-         copernicus-bench --bin fig06` for that sweep."
+         copernicus-bench -- fig06` for that sweep."
     );
     Ok(())
 }
