@@ -226,6 +226,36 @@ fn round_trip_status_endpoints_and_idempotent_replay() {
 }
 
 #[test]
+fn formats_outside_the_characterization_are_refused_before_admission() {
+    // Unknown names, the retired SELL/JDS/BCSC among them, fail spec
+    // parsing: a 422 naming the format, never a queued job with an id.
+    let server = Server::spawn(&["--port", "0", "--workers", "1"]);
+    for name in ["sell", "jds", "bcsc"] {
+        let body = format!(
+            r#"{{"workload": {{"kind": "random", "n": 24, "density": 0.1}}, "formats": ["{name}"]}}"#
+        );
+        let (status, headers, reply) =
+            http(&server.addr, "POST", "/characterize", &body).expect("post");
+        assert_eq!(status, 422, "{name}: {reply}");
+        assert!(
+            reply.contains(&format!("\\\"{name}\\\"")),
+            "{name}: {reply}"
+        );
+        assert!(
+            headers.iter().all(|(h, _)| h != "x-request-id"),
+            "{name}: {headers:?}"
+        );
+    }
+    let (_, _, stats) = http(&server.addr, "GET", "/stats", "").expect("stats");
+    let doc: Value = serde::json::from_str(&stats).expect("stats JSON");
+    assert_eq!(
+        doc.get("accepted").and_then(Value::as_u64),
+        Some(0),
+        "{stats}"
+    );
+}
+
+#[test]
 fn per_request_backend_override_changes_the_model() {
     let mut server = Server::spawn(&[]);
     let body = |backend: &str| {

@@ -31,8 +31,8 @@
 //! it is atomic and order-independent.
 //!
 //! Wall-clock observability (the optional
-//! [`ProgressReporter`](copernicus_telemetry::ProgressReporter) heartbeat
-//! and [`PhaseProfiler`](copernicus_telemetry::PhaseProfiler) phase/worker
+//! [`ProgressReporter`] heartbeat
+//! and [`PhaseProfiler`] phase/worker
 //! timings) rides alongside: workers tick shared atomic counters and local
 //! timers, none of which feed the deterministic artifacts above.
 //!
@@ -220,8 +220,8 @@ impl CampaignRunner {
         Ok(())
     }
 
-    /// Loads a checkpoint written by [`attach_checkpoint`]
-    /// (CampaignRunner::attach_checkpoint) into the memo cache and returns
+    /// Loads a checkpoint written by
+    /// [`attach_checkpoint`](CampaignRunner::attach_checkpoint) into the memo cache and returns
     /// the number of cells restored. A missing file restores zero cells
     /// (a first run is just an empty resume); malformed lines — e.g. the
     /// torn final line of a killed process — are skipped with a warning,
@@ -258,8 +258,8 @@ impl CampaignRunner {
         Ok(restored)
     }
 
-    /// Cells restored from checkpoints by [`resume_from`]
-    /// (CampaignRunner::resume_from).
+    /// Cells restored from checkpoints by
+    /// [`resume_from`](CampaignRunner::resume_from).
     pub fn resumed_cells(&self) -> usize {
         self.resumed
     }

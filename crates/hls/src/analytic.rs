@@ -187,9 +187,8 @@ impl TileCost {
     /// `coded_bytes == bytes` and no entropy cycles.
     ///
     /// Returns `None` when the tile needs the functional path: it is not
-    /// `p×p`, repeats a coordinate, or stores a zero, or `format` is not
-    /// characterized (the functional path reports that error). Counting
-    /// buffers come from `scratch`; a warm scan allocates nothing.
+    /// `p×p`, repeats a coordinate, or stores a zero. Counting buffers come
+    /// from `scratch`; a warm scan allocates nothing.
     pub fn from_tile(
         tile: &Coo<f32>,
         format: FormatKind,
@@ -199,20 +198,15 @@ impl TileCost {
         let s = scratch
             .tile_scan()
             .scan(tile, cfg.partition_size, cfg.bcsr_block)?;
-        TileCost::from_stats(&s, format, cfg)
+        Some(TileCost::from_stats(&s, format, cfg))
     }
 
     /// Prices a tile in `format` from counts already gathered by the scan
-    /// under `cfg`'s `partition_size` and `bcsr_block`; `None` when
-    /// `format` is not characterized.
-    pub(crate) fn from_stats(
-        s: &TileStats,
-        format: FormatKind,
-        cfg: &HwConfig,
-    ) -> Option<TileCost> {
-        let bytes = encode::structural_bytes(format, s, cfg)?;
-        let d = decomp::closed_form(format, s, cfg)?;
-        Some(TileCost {
+    /// under `cfg`'s `partition_size` and `bcsr_block`.
+    pub(crate) fn from_stats(s: &TileStats, format: FormatKind, cfg: &HwConfig) -> TileCost {
+        let bytes = encode::structural_bytes(format, s, cfg);
+        let d = decomp::closed_form(format, s, cfg);
+        TileCost {
             bytes,
             coded_bytes: bytes,
             useful_bytes: s.nnz * cfg.value_bytes as u64,
@@ -221,6 +215,6 @@ impl TileCost {
             dot_issues: d.dot_issues,
             engine_width: d.engine_width,
             bram_reads: d.bram_reads,
-        })
+        }
     }
 }

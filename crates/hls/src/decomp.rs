@@ -11,7 +11,7 @@
 //!   `offsets`, the LIL cursor row, …) pays [`HwConfig::bram_read_latency`].
 //!
 //! Each walk has a closed-form twin (`*_closed`, dispatched by
-//! [`closed_form`]) that computes the same accounting from per-tile counts
+//! `closed_form`) that computes the same accounting from per-tile counts
 //! alone — the analytic fast path. The oracle property test pins every
 //! twin to its walk.
 
@@ -87,22 +87,14 @@ pub fn decompress_with(
         AnyMatrix::Lil(m) => lil(m, cfg, scratch),
         AnyMatrix::Ell(m) => ell(m, cfg, scratch),
         AnyMatrix::Dia(m) => dia(m, cfg, scratch),
-        AnyMatrix::Bcsc(_) | AnyMatrix::Sell(_) | AnyMatrix::Jds(_) => {
-            unreachable!("EncodedPartition rejects uncharacterized formats")
-        }
     }
 }
 
 /// The accounting of the decompressor walk for `format` over a clean tile
 /// (no duplicate coordinates, no stored zeros) with counts `s`, without
-/// emitting its rows: `contributions` is empty. `None` for formats the
-/// platform does not characterize.
-pub(crate) fn closed_form(
-    format: FormatKind,
-    s: &TileStats,
-    cfg: &HwConfig,
-) -> Option<Decompression> {
-    Some(match format {
+/// emitting its rows: `contributions` is empty.
+pub(crate) fn closed_form(format: FormatKind, s: &TileStats, cfg: &HwConfig) -> Decompression {
+    match format {
         FormatKind::Dense => dense_closed(cfg),
         FormatKind::Csr => csr_closed(s, cfg),
         FormatKind::Csc => csc_closed(s, cfg),
@@ -111,8 +103,7 @@ pub(crate) fn closed_form(
         FormatKind::Lil => lil_closed(s, cfg),
         FormatKind::Ell => ell_closed(cfg),
         FormatKind::Dia => dia_closed(s, cfg),
-        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => return None,
-    })
+    }
 }
 
 /// A row-less [`Decompression`] carrying only the accounting.

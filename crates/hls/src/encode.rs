@@ -60,8 +60,8 @@ impl EncodedPartition {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::UnknownFormat`] for formats the paper does not
-    /// characterize on the platform (`Sell`, `Jds`).
+    /// Returns the BCSR conversion's [`SparseError`] when it rejects
+    /// [`HwConfig::bcsr_block`].
     pub fn encode(
         tile: &Coo<f32>,
         format: FormatKind,
@@ -227,11 +227,6 @@ impl EncodedPartition {
                 ));
                 AnyMatrix::Dia(dia)
             }
-            other @ (FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds) => {
-                return Err(SparseError::UnknownFormat(format!(
-                    "{other} is not part of the characterized platform"
-                )));
-            }
         };
 
         // Second stage: run each stream's serialized bytes through the
@@ -321,14 +316,13 @@ impl EncodedPartition {
 
 /// [`EncodedPartition::encode_with`]'s structural byte total in closed
 /// form, from the counts of a clean tile (no duplicate coordinates, no
-/// stored zeros): the sum of the streams it would push. `None` for formats
-/// the platform does not characterize.
-pub(crate) fn structural_bytes(format: FormatKind, s: &TileStats, cfg: &HwConfig) -> Option<u64> {
+/// stored zeros): the sum of the streams it would push.
+pub(crate) fn structural_bytes(format: FormatKind, s: &TileStats, cfg: &HwConfig) -> u64 {
     let vb = cfg.value_bytes as u64;
     let ib = cfg.index_bytes as u64;
     let p = cfg.partition_size as u64;
     let b = cfg.bcsr_block as u64;
-    Some(match format {
+    match format {
         FormatKind::Dense => p * p * vb,
         // offsets + one index and one value per stored entry.
         FormatKind::Csr | FormatKind::Csc => (p + 1) * ib + s.nnz * (ib + vb),
@@ -340,8 +334,7 @@ pub(crate) fn structural_bytes(format: FormatKind, s: &TileStats, cfg: &HwConfig
         // Natural width = longest row.
         FormatKind::Ell => s.max_row * p * (ib + vb),
         FormatKind::Dia => s.diagonals * (p + 1) * vb,
-        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => return None,
-    })
+    }
 }
 
 /// Appends the first `width` little-endian bytes of `le`, zero-padded when
@@ -570,13 +563,6 @@ mod tests {
         let cfg = cfg();
         let e = EncodedPartition::encode(&t, FormatKind::Dense, &cfg).unwrap();
         assert_eq!(e.memory_cycles(&cfg), 4 + (16 * 16 * 4) / 8);
-    }
-
-    #[test]
-    fn uncharacterized_formats_are_rejected() {
-        let t = tile(&[(0, 0, 1.0)], 16);
-        assert!(EncodedPartition::encode(&t, FormatKind::Sell, &cfg()).is_err());
-        assert!(EncodedPartition::encode(&t, FormatKind::Jds, &cfg()).is_err());
     }
 
     #[test]

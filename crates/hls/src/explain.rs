@@ -4,7 +4,7 @@
 //! = 1808 cycles").
 //!
 //! Every breakdown is tested to sum exactly to the corresponding
-//! [`decompress`](crate::decompress) cycle count — the explanation can
+//! [`decompress`] cycle count — the explanation can
 //! never drift from the model.
 
 use crate::{decompress, EncodedPartition, HwConfig};
@@ -154,9 +154,6 @@ pub fn explain(part: &EncodedPartition, cfg: &HwConfig) -> CostBreakdown {
                     cycles: p * ndiag,
                 },
             ]
-        }
-        AnyMatrix::Bcsc(_) | AnyMatrix::Sell(_) | AnyMatrix::Jds(_) => {
-            unreachable!("EncodedPartition rejects uncharacterized formats")
         }
     };
     CostBreakdown {

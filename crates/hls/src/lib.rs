@@ -17,7 +17,7 @@
 //!   `offsets` reads),
 //! * a fine-grained dot-product engine (multiplier array + balanced adder
 //!   tree, [`HwConfig::dot_latency`]),
-//! * the three-stage outer pipeline ([`Platform`] — memory-read, compute,
+//! * the three-stage outer pipeline ([`Session`] — memory-read, compute,
 //!   memory-write, bottleneck-overlapped across partitions),
 //! * synthesis-side models: FPGA [`resources`] (Table 2) and [`power`]
 //!   (Table 2 + Fig. 13),
@@ -81,7 +81,7 @@ pub use config::{ceil_log2, HwConfig};
 pub use decomp::{decompress, decompress_with, Decompression};
 pub use encode::{EncodedPartition, Stream};
 pub use explain::{explain, CostBreakdown, CostTerm};
-pub use pipeline::{ParallelReport, PartitionTiming, Platform, PlatformError, RunReport};
+pub use pipeline::{ParallelReport, PartitionTiming, PlatformError, RunReport};
 pub use power::PowerBreakdown;
 pub use resources::Resources;
 pub use scratch::EncodeScratch;

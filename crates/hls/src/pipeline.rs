@@ -1,13 +1,12 @@
 //! The three-stage streaming platform of Fig. 2: memory-read → compute
 //! (decompress + dot-product) → memory-write, pipelined across partitions.
 
-use crate::backend::{backend_for, TileCost};
+use crate::backend::{Backend, TileCost};
 use crate::{decompress_with, CodecKind, Decompression, EncodeScratch, EncodedPartition, HwConfig};
 use copernicus_telemetry::{
-    CancelToken, NullSink, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
+    CancelToken, Phase, PhaseAcc, PhaseProfiler, PipelineEvent, Stage, TraceSink,
 };
-use sparsemat::{Coo, FormatKind, Partition, PartitionGrid, SparseError};
-use std::sync::Arc;
+use sparsemat::{FormatKind, Partition, PartitionGrid, SparseError};
 
 /// Errors produced by platform runs.
 #[derive(Debug)]
@@ -181,9 +180,9 @@ impl RunReport {
     }
 }
 
-/// Incremental [`RunReport`] builder. Every run entry point funnels its
-/// per-partition timings through one of these, so reports are identical no
-/// matter which path (instrumented or not) produced them.
+/// Incremental [`RunReport`] builder. The partition loop funnels every
+/// tile's timing through one of these, so reports are identical no matter
+/// which path (analytic, serial or tile-parallel) produced them.
 struct ReportBuilder {
     report: RunReport,
     balance_sum: f64,
@@ -193,8 +192,7 @@ struct ReportBuilder {
 }
 
 impl ReportBuilder {
-    fn new(format: FormatKind, cfg: &HwConfig) -> Self {
-        let backend = backend_for(cfg.backend);
+    fn new(format: FormatKind, cfg: &HwConfig, backend: &dyn Backend) -> Self {
         ReportBuilder {
             report: RunReport {
                 format,
@@ -288,8 +286,7 @@ impl SpanScheduler {
 }
 
 /// Emits the trace events of one placed partition: its start marker plus
-/// the four stage spans. Shared by the serial loop and the tile-parallel
-/// reduce so both paths produce byte-identical traces.
+/// the four stage spans.
 fn emit_partition_spans<S: TraceSink + ?Sized>(
     sink: &mut S,
     schedule: &mut SpanScheduler,
@@ -323,237 +320,245 @@ fn emit_partition_spans<S: TraceSink + ?Sized>(
 /// One partition's outcome from a tile worker, reduced in grid order.
 type TileResult = Result<(PartitionTiming, Decompression), PlatformError>;
 
-/// A consumer of each partition's decompressed rows (the SpMV engine).
-type RowConsumer<'a> = &'a mut dyn FnMut(&Partition<f32>, &Decompression);
-
-/// The modeled platform: a validated [`HwConfig`] plus the run entry points.
-#[derive(Debug, Clone)]
-pub struct Platform {
-    cfg: HwConfig,
-    /// Optional wall-clock phase profiler (shared, cloned with the
-    /// platform). Never consulted by the timing model: reports are
-    /// bit-identical with and without it.
-    profiler: Option<Arc<PhaseProfiler>>,
-    /// Worker threads processing one run's partitions concurrently
-    /// (1 = serial). Never visible in the output: partitions are reduced
-    /// back in grid order, so reports, traces and SpMV results are
-    /// byte-identical at any setting.
-    tile_jobs: usize,
-    /// Optional cooperative cancellation token, polled between partitions.
-    /// A successful run is byte-identical with and without one; a
-    /// cancelled run fails with [`PlatformError::Cancelled`] and produces
-    /// no report.
-    cancel: Option<CancelToken>,
+/// One request's view of a [`Session`](crate::Session): its validated
+/// configuration and attachments, with the request's backend and
+/// tile-worker overrides already resolved. Built per request, so an
+/// override never touches the session's own settings.
+pub(crate) struct Run<'a> {
+    /// The session's configuration.
+    pub(crate) cfg: &'a HwConfig,
+    /// The backend costing this run.
+    pub(crate) backend: &'static dyn Backend,
+    /// Worker threads processing the run's partitions (at least 1 =
+    /// serial). Never visible in the output: partitions are reduced back
+    /// in grid order.
+    pub(crate) tile_jobs: usize,
+    /// Cooperative cancellation token, polled between partitions.
+    pub(crate) cancel: Option<&'a CancelToken>,
+    /// Wall-clock phase profiler; never consulted by the timing model.
+    pub(crate) profiler: Option<&'a PhaseProfiler>,
 }
 
-impl Platform {
-    /// Builds a platform from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::Config`] when the configuration fails
-    /// [`HwConfig::validate`].
-    pub fn new(cfg: HwConfig) -> Result<Self, PlatformError> {
-        cfg.validate().map_err(PlatformError::Config)?;
-        Ok(Platform {
-            cfg,
-            profiler: None,
-            tile_jobs: 1,
-            cancel: None,
-        })
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HwConfig {
-        &self.cfg
-    }
-
-    /// Sets how many worker threads process one run's partitions
-    /// concurrently (clamped to at least 1 = serial). The timing model is
-    /// unaffected: tiles are processed out of order but reduced back in
-    /// grid order, so reports, traces and SpMV results are byte-identical
-    /// at any worker count (test-enforced).
-    pub fn set_tile_jobs(&mut self, jobs: usize) {
-        self.tile_jobs = jobs.max(1);
-    }
-
-    /// The configured intra-run worker count.
-    pub fn tile_jobs(&self) -> usize {
-        self.tile_jobs
-    }
-
-    /// Selects the hardware backend costing subsequent runs. The encode /
-    /// decompress pass is backend-independent; only the cycle charges (and
-    /// the reported clock) change.
-    pub fn set_backend(&mut self, backend: crate::BackendKind) {
-        self.cfg.backend = backend;
-    }
-
-    /// The backend subsequent runs are costed on.
-    pub fn backend(&self) -> crate::BackendKind {
-        self.cfg.backend
-    }
-
-    /// Attaches (or with `None`, detaches) a wall-clock phase profiler.
-    /// Runs then observe per-run encode / decompress / verify / compute
-    /// phase durations into it; the modeled reports are unaffected.
-    pub fn set_profiler(&mut self, profiler: Option<Arc<PhaseProfiler>>) {
-        self.profiler = profiler;
-    }
-
-    /// The attached phase profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<PhaseProfiler>> {
-        self.profiler.as_ref()
-    }
-
-    /// Attaches (or with `None`, detaches) a cooperative cancellation
-    /// token. The pipeline polls it between partitions: once it reports
-    /// cancelled, the run fails with [`PlatformError::Cancelled`] instead
-    /// of producing a report. A run that completes before cancellation is
-    /// byte-identical to an untokened run.
-    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
-        self.cancel = cancel;
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
+impl Run<'_> {
     /// True when a token is attached and reports cancelled.
     fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+        self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Whether a run's outputs can depend on materialized tiles beyond
-    /// their counts: functional verification compares the decompressed
-    /// rows, and a stream codec compresses the encoded bytes. When neither
-    /// is configured (and no SpMV consumes the rows) runs take the analytic
-    /// fast path.
-    fn needs_tiles(&self) -> bool {
-        self.cfg.verify_functional || self.cfg.stream_codec != CodecKind::None
-    }
-
-    /// The single shared partition loop: processes each tile exactly once,
-    /// hands its decompression to `consume` (the SpMV path applies the row
-    /// contributions there), emits trace events, aggregates the report, and
-    /// recycles every per-tile buffer into `scratch`.
-    ///
-    /// Without a consumer, on a platform that does not
-    /// [need tiles](Platform::needs_tiles), tiles are priced serially from
-    /// their counts (the analytic fast path) whatever
-    /// [`Platform::tile_jobs`] says; the report and trace are
-    /// byte-identical to the functional path's.
-    pub(crate) fn run_grid_scratch<S>(
+    /// The single-lane pipeline: every partition's spans go to `sink` on
+    /// the [`SpanScheduler`] timeline, and with `spmv = Some((x, y))` each
+    /// decompression is applied to `y += A·x` in grid order.
+    pub(crate) fn single<S: TraceSink + ?Sized>(
         &self,
         grid: &PartitionGrid<f32>,
         format: FormatKind,
         sink: &mut S,
-        mut consume: Option<RowConsumer<'_>>,
         scratch: &mut EncodeScratch,
-    ) -> Result<RunReport, PlatformError>
-    where
-        S: TraceSink + ?Sized,
-    {
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunStart {
-                format: format.to_string(),
-                partitions: grid.partitions().len(),
-                partition_size: self.cfg.partition_size,
-            });
-        }
-        let mut builder = ReportBuilder::new(format, &self.cfg);
+        mut spmv: Option<(&[f32], &mut [f32])>,
+    ) -> Result<RunReport, PlatformError> {
+        let p = self.cfg.partition_size;
         let mut schedule = SpanScheduler::default();
-        let run_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-        let mut acc = PhaseAcc::new(self.profiler.is_some());
-        // Cooperative cancellation: a deadline that expired (or a shutdown
-        // that fired) before this run starts stops it up front; the
-        // per-partition poll below bounds how much work happens after.
-        if self.cancelled() {
-            return Err(PlatformError::Cancelled);
-        }
-        let analytic = consume.is_none() && !self.needs_tiles();
-        if !analytic && self.tile_jobs > 1 && grid.partitions().len() > 1 {
-            // Tile-parallel pass: workers process partitions out of order,
-            // then this loop reduces them back in grid order so every
-            // observable byte (report, spans, SpMV accumulation order)
-            // matches the serial path.
-            let (mut pool, mut slots) = self.process_grid_parallel(grid, format, scratch, &mut acc);
-            let mut failure: Option<PlatformError> = None;
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                let Some((wid, result)) = slots[idx].take() else {
-                    continue;
-                };
-                match result {
-                    Ok((timing, d)) => {
-                        // Work past the first failing partition is
-                        // discarded, exactly as the serial path never
-                        // reaches it.
-                        if failure.is_none() {
-                            if let Some(consume) = consume.as_mut() {
-                                consume(part, &d);
-                            }
-                            if sink.enabled() {
-                                emit_partition_spans(sink, &mut schedule, idx, part, &timing);
-                            }
-                            builder.push(&timing);
-                        }
-                        pool[wid].recycle_decompression(d);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            if let PlatformError::FunctionalMismatch { format, grid } = &e {
-                                if sink.enabled() {
-                                    sink.record(&PipelineEvent::FunctionalMismatch {
-                                        partition: idx,
-                                        detail: format!(
-                                            "decompressing {format} partition ({}, {})",
-                                            grid.0, grid.1
-                                        ),
-                                    });
-                                }
-                            }
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            scratch.give_workers(pool);
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            if self.cancelled() {
-                return Err(PlatformError::Cancelled);
-            }
-        } else {
-            if analytic {
-                scratch.begin_tile_memo(grid, &self.cfg);
-            }
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                if self.cancelled() {
-                    return Err(PlatformError::Cancelled);
-                }
-                let (timing, d) =
-                    self.price_partition(part, format, analytic, sink, idx, scratch, &mut acc)?;
-                if let Some(d) = d {
-                    if let Some(consume) = consume.as_mut() {
-                        consume(part, &d);
-                    }
-                    scratch.recycle_decompression(d);
+        let rows = spmv.is_some();
+        let report = self.for_each_tile(
+            grid,
+            format,
+            rows,
+            sink,
+            scratch,
+            |sink, idx, part, timing, d| {
+                if let (Some((x, y)), Some(d)) = (spmv.as_mut(), d) {
+                    apply_contributions(part, d, p, x, y);
                 }
                 if sink.enabled() {
-                    emit_partition_spans(sink, &mut schedule, idx, part, &timing);
+                    emit_partition_spans(sink, &mut schedule, idx, part, timing);
                 }
-                builder.push(&timing);
-            }
-        }
-        let report = builder.finish();
+            },
+        )?;
         if sink.enabled() {
             sink.record(&PipelineEvent::RunComplete {
                 total_cycles: report.total_cycles,
             });
         }
-        if let (Some(profiler), Some(start)) = (&self.profiler, run_start) {
+        Ok(report)
+    }
+
+    /// The aggregated-lanes engine: one shared memory channel, `lanes`
+    /// decompress+dot pipelines. The partition loop collects the timings;
+    /// a second pass deals them to the least-loaded lane (online LPT).
+    pub(crate) fn lanes<S: TraceSink + ?Sized>(
+        &self,
+        grid: &PartitionGrid<f32>,
+        format: FormatKind,
+        lanes: usize,
+        sink: &mut S,
+        scratch: &mut EncodeScratch,
+    ) -> Result<ParallelReport, PlatformError> {
+        if lanes == 0 {
+            return Err(PlatformError::Config("lane count must be positive".into()));
+        }
+        let mut timings = Vec::with_capacity(grid.partitions().len());
+        let single_lane =
+            self.for_each_tile(grid, format, false, sink, scratch, |_, _, _, t, _| {
+                timings.push(*t);
+            })?;
+
+        let mut shared_mem_cycles = 0u64;
+        let mut lane_compute = vec![0u64; lanes];
+        let mut lane_ready = vec![0u64; lanes];
+        for ((idx, part), timing) in grid.partitions().iter().enumerate().zip(&timings) {
+            let mem_start = shared_mem_cycles;
+            shared_mem_cycles += timing.mem_cycles;
+            // Deal to the least-loaded lane (online LPT).
+            let lane = lane_compute
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &load)| load)
+                .map_or(0, |(i, _)| i);
+            lane_compute[lane] += timing.compute_cycles;
+            // The lane starts once its operands have crossed the shared
+            // channel and the engine is free.
+            let compute_start = shared_mem_cycles.max(lane_ready[lane]);
+            lane_ready[lane] = compute_start + timing.compute_cycles;
+            if sink.enabled() {
+                sink.record(&PipelineEvent::PartitionStart {
+                    partition: idx,
+                    grid_row: part.grid_row,
+                    grid_col: part.grid_col,
+                    cycle: mem_start,
+                });
+                for (stage, start_cycle, cycles) in [
+                    (Stage::MemRead, mem_start, timing.mem_cycles),
+                    (Stage::Compute, compute_start, timing.compute_cycles),
+                    (Stage::Decompress, compute_start, timing.decomp_cycles),
+                ] {
+                    sink.record(&PipelineEvent::StageSpan {
+                        stage,
+                        partition: idx,
+                        lane: Some(lane),
+                        start_cycle,
+                        cycles,
+                    });
+                }
+            }
+        }
+        let max_lane_compute_cycles = lane_compute.into_iter().max().unwrap_or(0);
+        let total_cycles = shared_mem_cycles.max(max_lane_compute_cycles);
+        if sink.enabled() {
+            sink.record(&PipelineEvent::RunComplete { total_cycles });
+        }
+        Ok(ParallelReport {
+            lanes,
+            shared_mem_cycles,
+            max_lane_compute_cycles,
+            total_cycles,
+            single_lane,
+        })
+    }
+
+    /// The partition loop: processes each tile of `grid` exactly once and
+    /// hands `on_tile` its index, partition, timing and — when the tile
+    /// went through the functional path — its decompression, in grid
+    /// order. Returns the aggregated single-lane report and recycles every
+    /// per-tile buffer into `scratch`.
+    ///
+    /// Unless `rows` asks for every decompression, or the configuration
+    /// verifies tiles or runs a stream codec, tiles are priced serially
+    /// from their counts (the analytic fast path) whatever `tile_jobs`
+    /// says. Otherwise, with `tile_jobs > 1`, workers process the tiles out
+    /// of order first and this loop reduces them back in grid order, so
+    /// every observable byte matches the serial path. The first failing
+    /// tile in grid order fails the run, after its
+    /// [`PipelineEvent::FunctionalMismatch`] marker when verification
+    /// caught it.
+    fn for_each_tile<S, F>(
+        &self,
+        grid: &PartitionGrid<f32>,
+        format: FormatKind,
+        rows: bool,
+        sink: &mut S,
+        scratch: &mut EncodeScratch,
+        mut on_tile: F,
+    ) -> Result<RunReport, PlatformError>
+    where
+        S: TraceSink + ?Sized,
+        F: FnMut(&mut S, usize, &Partition<f32>, &PartitionTiming, Option<&Decompression>),
+    {
+        let parts = grid.partitions();
+        if sink.enabled() {
+            sink.record(&PipelineEvent::RunStart {
+                format: format.to_string(),
+                partitions: parts.len(),
+                partition_size: self.cfg.partition_size,
+            });
+        }
+        let mut builder = ReportBuilder::new(format, self.cfg, self.backend);
+        let run_start = self.profiler.map(|_| std::time::Instant::now());
+        let mut acc = PhaseAcc::new(self.profiler.is_some());
+        let needs_tiles = self.cfg.verify_functional || self.cfg.stream_codec != CodecKind::None;
+        let analytic = !rows && !needs_tiles;
+        let parallel = !analytic && self.tile_jobs > 1 && parts.len() > 1;
+        // Cooperative cancellation: a deadline that expired (or a shutdown
+        // that fired) before this run starts stops it up front.
+        if self.cancelled() {
+            return Err(PlatformError::Cancelled);
+        }
+        let (mut pool, mut slots) = if parallel {
+            self.process_grid_parallel(grid, format, scratch, &mut acc)
+        } else {
+            if analytic {
+                scratch.begin_tile_memo(grid, self.cfg);
+            }
+            (Vec::new(), Vec::new())
+        };
+        let mut outcome = Ok(());
+        for (idx, part) in parts.iter().enumerate() {
+            if self.cancelled() {
+                outcome = Err(PlatformError::Cancelled);
+                break;
+            }
+            let (result, worker) = if parallel {
+                let Some((wid, result)) = slots[idx].take() else {
+                    continue;
+                };
+                (result.map(|(t, d)| (t, Some(d))), Some(wid))
+            } else {
+                let result = self.price_partition(part, format, analytic, idx, scratch, &mut acc);
+                (result, None)
+            };
+            match result {
+                Ok((timing, d)) => {
+                    on_tile(sink, idx, part, &timing, d.as_ref());
+                    builder.push(&timing);
+                    if let Some(d) = d {
+                        match worker {
+                            Some(wid) => pool[wid].recycle_decompression(d),
+                            None => scratch.recycle_decompression(d),
+                        }
+                    }
+                }
+                Err(e) => {
+                    if let PlatformError::FunctionalMismatch { format, grid } = &e {
+                        if sink.enabled() {
+                            sink.record(&PipelineEvent::FunctionalMismatch {
+                                partition: idx,
+                                detail: format!(
+                                    "decompressing {format} partition ({}, {})",
+                                    grid.0, grid.1
+                                ),
+                            });
+                        }
+                    }
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        if parallel {
+            scratch.give_workers(pool);
+        }
+        outcome?;
+        let report = builder.finish();
+        if let (Some(profiler), Some(start)) = (self.profiler, run_start) {
             profiler.flush_run(&acc, start.elapsed().as_secs_f64());
         }
         Ok(report)
@@ -563,29 +568,25 @@ impl Platform {
     /// scan accepts is priced from its counts ([`TileCost::from_stats`]),
     /// memoized in `scratch` across the formats of a sweep, and no
     /// decompression is returned; every other tile (duplicate coordinates,
-    /// stored zeros) takes [`Platform::process_partition`]. Scan time is
-    /// not lapped, so a profiler books it under the run's
-    /// [`Phase::Compute`] residual.
-    #[allow(clippy::too_many_arguments)]
-    fn price_partition<S: TraceSink + ?Sized>(
+    /// stored zeros) takes [`Run::process_partition`]. Scan time is not
+    /// lapped, so a profiler books it under the run's [`Phase::Compute`]
+    /// residual.
+    fn price_partition(
         &self,
         part: &Partition<f32>,
         format: FormatKind,
         analytic: bool,
-        sink: &mut S,
         idx: usize,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
     ) -> Result<(PartitionTiming, Option<Decompression>), PlatformError> {
         if analytic {
-            let stats = scratch.tile_stats(idx, &part.coo);
-            if let Some(cost) = stats.and_then(|s| TileCost::from_stats(&s, format, &self.cfg)) {
-                let timing = backend_for(self.cfg.backend).tile_timing(&cost, &self.cfg);
-                return Ok((timing, None));
+            if let Some(stats) = scratch.tile_stats(idx, &part.coo) {
+                let cost = TileCost::from_stats(&stats, format, self.cfg);
+                return Ok((self.backend.tile_timing(&cost, self.cfg), None));
             }
         }
-        let grid_pos = (part.grid_row, part.grid_col);
-        self.process_partition(&part.coo, format, grid_pos, sink, idx, scratch, acc)
+        self.process_partition(part, format, scratch, acc)
             .map(|(timing, d)| (timing, Some(d)))
     }
 
@@ -594,38 +595,26 @@ impl Platform {
     /// come from (and the encoded structure returns to) `scratch`. Phase
     /// wall time accumulates into `acc` (a no-op unless a profiler is
     /// attached); the modeled timing never reads the clock.
-    #[allow(clippy::too_many_arguments)]
-    fn process_partition<S: TraceSink + ?Sized>(
+    fn process_partition(
         &self,
-        tile: &Coo<f32>,
+        part: &Partition<f32>,
         format: FormatKind,
-        grid_pos: (usize, usize),
-        sink: &mut S,
-        idx: usize,
         scratch: &mut EncodeScratch,
         acc: &mut PhaseAcc,
-    ) -> Result<(PartitionTiming, Decompression), PlatformError> {
+    ) -> TileResult {
+        let cfg = self.cfg;
         acc.mark();
-        let encoded = EncodedPartition::encode_with(tile, format, &self.cfg, scratch)?;
+        let encoded = EncodedPartition::encode_with(&part.coo, format, cfg, scratch)?;
         acc.lap(Phase::Encode);
-        let d = decompress_with(&encoded, &self.cfg, scratch);
+        let d = decompress_with(&encoded, cfg, scratch);
         acc.lap(Phase::Decompress);
-        if self.cfg.verify_functional && !scratch.verify_tile(&d, tile, self.cfg.partition_size) {
-            if sink.enabled() {
-                sink.record(&PipelineEvent::FunctionalMismatch {
-                    partition: idx,
-                    detail: format!(
-                        "decompressing {format} partition ({}, {})",
-                        grid_pos.0, grid_pos.1
-                    ),
+        if cfg.verify_functional {
+            if !scratch.verify_tile(&d, &part.coo, cfg.partition_size) {
+                return Err(PlatformError::FunctionalMismatch {
+                    format,
+                    grid: (part.grid_row, part.grid_col),
                 });
             }
-            return Err(PlatformError::FunctionalMismatch {
-                format,
-                grid: grid_pos,
-            });
-        }
-        if self.cfg.verify_functional {
             acc.lap(Phase::Verify);
         }
         // The configured backend prices what the encode/decompress pass
@@ -633,22 +622,17 @@ impl Platform {
         // front of the structural decompressor, so its cycles join the
         // compute stage — the trade the codec sweep measures is fewer
         // memory-read cycles against exactly that compute-side surcharge.
-        let timing = backend_for(self.cfg.backend).partition_timing(&encoded, &d, &self.cfg);
+        let timing = self.backend.partition_timing(&encoded, &d, cfg);
         scratch.recycle_encoded(encoded);
         Ok((timing, d))
     }
 
-    /// Processes every partition of `grid` on up to [`Platform::tile_jobs`]
-    /// scoped worker threads: one pooled [`EncodeScratch`] per worker,
-    /// tiles claimed from an atomic cursor. Returns the worker scratches
-    /// (for buffer recycling plus hand-back) and one `(worker, result)`
-    /// slot per partition for the caller's in-grid-order reduce. Worker
-    /// phase time folds into `acc` (summed across workers).
-    ///
-    /// Workers trace into a [`NullSink`]: the only event
-    /// [`Platform::process_partition`] can emit is the functional-mismatch
-    /// marker, which the reduce re-emits in grid order from the returned
-    /// error so traces match the serial path byte for byte.
+    /// Processes every partition of `grid` on up to `tile_jobs` scoped
+    /// worker threads: one pooled [`EncodeScratch`] per worker, tiles
+    /// claimed from an atomic cursor. Returns the worker scratches (for
+    /// buffer recycling plus hand-back) and one `(worker, result)` slot
+    /// per partition for the caller's in-grid-order reduce. Worker phase
+    /// time folds into `acc` (summed across workers).
     fn process_grid_parallel(
         &self,
         grid: &PartitionGrid<f32>,
@@ -677,16 +661,8 @@ impl Platform {
                             if idx >= n {
                                 break;
                             }
-                            let part = &parts[idx];
-                            let result = self.process_partition(
-                                &part.coo,
-                                format,
-                                (part.grid_row, part.grid_col),
-                                &mut NullSink,
-                                idx,
-                                &mut ws,
-                                &mut wacc,
-                            );
+                            let result =
+                                self.process_partition(&parts[idx], format, &mut ws, &mut wacc);
                             done.push((idx, result));
                         }
                         (ws, wacc, done)
@@ -714,7 +690,7 @@ impl Platform {
 /// then the balanced adder tree (here a sum), accumulated into `y`. Rows or
 /// columns hanging past the true matrix shape (edge tiles are padded to
 /// `p×p`) are ignored.
-pub(crate) fn apply_contributions(
+fn apply_contributions(
     part: &Partition<f32>,
     d: &Decompression,
     p: usize,
@@ -806,162 +782,6 @@ impl ParallelReport {
     }
 }
 
-impl Platform {
-    /// The aggregated-lanes engine over a pre-built grid: one shared memory
-    /// channel, `lanes` decompress+dot pipelines, online-LPT dealing.
-    pub(crate) fn run_parallel_grid_scratch<S: TraceSink + ?Sized>(
-        &self,
-        grid: &PartitionGrid<f32>,
-        format: FormatKind,
-        lanes: usize,
-        sink: &mut S,
-        scratch: &mut EncodeScratch,
-    ) -> Result<ParallelReport, PlatformError> {
-        if lanes == 0 {
-            return Err(PlatformError::Config("lane count must be positive".into()));
-        }
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunStart {
-                format: format.to_string(),
-                partitions: grid.partitions().len(),
-                partition_size: self.cfg.partition_size,
-            });
-        }
-        let mut builder = ReportBuilder::new(format, &self.cfg);
-        let mut timings = Vec::with_capacity(grid.partitions().len());
-        let run_start = self.profiler.as_ref().map(|_| std::time::Instant::now());
-        let mut acc = PhaseAcc::new(self.profiler.is_some());
-        if self.cancelled() {
-            return Err(PlatformError::Cancelled);
-        }
-        let analytic = !self.needs_tiles();
-        if !analytic && self.tile_jobs > 1 && grid.partitions().len() > 1 {
-            let (mut pool, mut slots) = self.process_grid_parallel(grid, format, scratch, &mut acc);
-            let mut failure: Option<PlatformError> = None;
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                let Some((wid, result)) = slot.take() else {
-                    continue;
-                };
-                match result {
-                    Ok((timing, d)) => {
-                        if failure.is_none() {
-                            builder.push(&timing);
-                            timings.push(timing);
-                        }
-                        pool[wid].recycle_decompression(d);
-                    }
-                    Err(e) => {
-                        if failure.is_none() {
-                            if let PlatformError::FunctionalMismatch { format, grid } = &e {
-                                if sink.enabled() {
-                                    sink.record(&PipelineEvent::FunctionalMismatch {
-                                        partition: idx,
-                                        detail: format!(
-                                            "decompressing {format} partition ({}, {})",
-                                            grid.0, grid.1
-                                        ),
-                                    });
-                                }
-                            }
-                            failure = Some(e);
-                        }
-                    }
-                }
-            }
-            scratch.give_workers(pool);
-            if let Some(e) = failure {
-                return Err(e);
-            }
-            if self.cancelled() {
-                return Err(PlatformError::Cancelled);
-            }
-        } else {
-            if analytic {
-                scratch.begin_tile_memo(grid, &self.cfg);
-            }
-            for (idx, part) in grid.partitions().iter().enumerate() {
-                if self.cancelled() {
-                    return Err(PlatformError::Cancelled);
-                }
-                let (timing, d) =
-                    self.price_partition(part, format, analytic, sink, idx, scratch, &mut acc)?;
-                if let Some(d) = d {
-                    scratch.recycle_decompression(d);
-                }
-                builder.push(&timing);
-                timings.push(timing);
-            }
-        }
-        let single_lane = builder.finish();
-        if let (Some(profiler), Some(start)) = (&self.profiler, run_start) {
-            profiler.flush_run(&acc, start.elapsed().as_secs_f64());
-        }
-
-        let mut shared_mem_cycles = 0u64;
-        let mut lane_compute = vec![0u64; lanes];
-        let mut lane_ready = vec![0u64; lanes];
-        for ((idx, part), timing) in grid.partitions().iter().enumerate().zip(&timings) {
-            let mem_start = shared_mem_cycles;
-            shared_mem_cycles += timing.mem_cycles;
-            // Deal to the least-loaded lane (online LPT).
-            let lane = lane_compute
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &load)| load)
-                .map_or(0, |(i, _)| i);
-            lane_compute[lane] += timing.compute_cycles;
-            // The lane starts once its operands have crossed the shared
-            // channel and the engine is free.
-            let compute_start = shared_mem_cycles.max(lane_ready[lane]);
-            lane_ready[lane] = compute_start + timing.compute_cycles;
-            if sink.enabled() {
-                sink.record(&PipelineEvent::PartitionStart {
-                    partition: idx,
-                    grid_row: part.grid_row,
-                    grid_col: part.grid_col,
-                    cycle: mem_start,
-                });
-                for (stage, start_cycle, cycles) in [
-                    (Stage::MemRead, mem_start, timing.mem_cycles),
-                    (Stage::Compute, compute_start, timing.compute_cycles),
-                    (Stage::Decompress, compute_start, timing.decomp_cycles),
-                ] {
-                    sink.record(&PipelineEvent::StageSpan {
-                        stage,
-                        partition: idx,
-                        lane: Some(lane),
-                        start_cycle,
-                        cycles,
-                    });
-                }
-            }
-        }
-        let max_lane_compute_cycles = lane_compute.into_iter().max().unwrap_or(0);
-        let total_cycles = shared_mem_cycles.max(max_lane_compute_cycles);
-        if sink.enabled() {
-            sink.record(&PipelineEvent::RunComplete { total_cycles });
-        }
-        Ok(ParallelReport {
-            lanes,
-            shared_mem_cycles,
-            max_lane_compute_cycles,
-            total_cycles,
-            single_lane,
-        })
-    }
-}
-
-impl Default for Platform {
-    fn default() -> Self {
-        match Platform::new(HwConfig::default()) {
-            Ok(p) => p,
-            // HwConfig::default() is validated by the hls test suite; a
-            // rejection here is a bug in the validator itself.
-            Err(e) => unreachable!("default config is valid: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,7 +803,7 @@ mod tests {
     }
 
     fn session() -> Session {
-        Session::from_platform(Platform::default())
+        Session::new(HwConfig::default()).unwrap()
     }
 
     fn run(s: &mut Session, m: &Coo<f32>, kind: FormatKind) -> RunReport {
@@ -1132,7 +952,7 @@ mod tests {
             partition_size: 0,
             ..HwConfig::default()
         };
-        assert!(matches!(Platform::new(cfg), Err(PlatformError::Config(_))));
+        assert!(matches!(Session::new(cfg), Err(PlatformError::Config(_))));
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub fn static_power(format: FormatKind) -> Option<f64> {
         FormatKind::Csc | FormatKind::Coo | FormatKind::Dok | FormatKind::Dia => {
             Some(STATIC_POWER_LOW_W)
         }
-        FormatKind::Bcsc | FormatKind::Sell | FormatKind::Jds => None,
     }
 }
 
@@ -129,7 +128,6 @@ mod tests {
         for kind in [FormatKind::Csc, FormatKind::Coo, FormatKind::Dia] {
             assert_eq!(static_power(kind), Some(STATIC_POWER_LOW_W), "{kind}");
         }
-        assert!(static_power(FormatKind::Sell).is_none());
     }
 
     #[test]

@@ -105,7 +105,7 @@ const TABLE2: [Anchor; 8] = [
 ];
 
 fn anchor(format: FormatKind) -> Option<&'static Anchor> {
-    // DOK shares COO's datapath (§5.2), SELL/JDS are not synthesized.
+    // DOK shares COO's datapath (§5.2).
     let format = if format == FormatKind::Dok {
         FormatKind::Coo
     } else {
@@ -133,8 +133,8 @@ pub(crate) fn interpolate(values: &[f64; 3], p: usize) -> f64 {
 /// Estimates the resources of one format's platform at partition size `p`.
 ///
 /// Exactly Table 2 at `p ∈ {8, 16, 32}`; structural extrapolation
-/// elsewhere. `Dok` maps onto COO's datapath; `Sell`/`Jds` have no
-/// synthesized instance and return `None`.
+/// elsewhere. `Dok` maps onto COO's datapath, so every [`FormatKind`]
+/// has an estimate.
 pub fn estimate(format: FormatKind, p: usize) -> Option<Resources> {
     let a = anchor(format)?;
     Some(Resources {
@@ -237,13 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn dok_maps_to_coo_and_variants_are_absent() {
+    fn dok_maps_to_coo_and_every_format_has_an_estimate() {
         assert_eq!(
             estimate(FormatKind::Dok, 16).unwrap(),
             estimate(FormatKind::Coo, 16).unwrap()
         );
-        assert!(estimate(FormatKind::Sell, 16).is_none());
-        assert!(estimate(FormatKind::Jds, 16).is_none());
+        for kind in FormatKind::ALL {
+            assert!(estimate(kind, 16).is_some(), "{kind}");
+        }
     }
 
     #[test]

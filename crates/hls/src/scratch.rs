@@ -8,8 +8,7 @@
 //! harness spent more time in the allocator than in the model.
 //!
 //! [`EncodeScratch`] pools all of those buffers. One scratch lives for the
-//! duration of a [`Session`](crate::Session) (or one deprecated
-//! `Platform::run*` shim call) and is threaded through
+//! duration of a [`Session`](crate::Session) and is threaded through
 //! [`EncodedPartition::encode_with`](crate::EncodedPartition::encode_with)
 //! and [`decompress_with`](crate::decompress_with); the pipeline recycles
 //! every buffer after the tile's timing has been extracted. Buffer reuse is
@@ -18,7 +17,6 @@
 //! the allocating path (test-enforced).
 
 use crate::analytic::{TileMemo, TileScan, TileStats};
-use crate::codec::CodecScratch;
 use crate::decomp::Decompression;
 use crate::encode::{EncodedPartition, Stream};
 use crate::HwConfig;
@@ -62,8 +60,6 @@ pub struct EncodeScratch {
     matrices: Vec<AnyMatrix<f32>>,
     /// Triplet workspace for the in-place format conversions.
     tmp_triplets: Vec<Triplet<f32>>,
-    /// Pooled second-stage decoder state (Huffman primary table).
-    codec: CodecScratch,
     /// Count and bitmap buffers of the analytic fast path's tile scan.
     scan: TileScan,
     /// The fast path's per-tile counts of the last grid it priced.
@@ -103,12 +99,6 @@ impl EncodeScratch {
     /// The triplet workspace for the in-place format conversions.
     pub(crate) fn tmp_triplets(&mut self) -> &mut Vec<Triplet<f32>> {
         &mut self.tmp_triplets
-    }
-
-    /// The pooled second-stage decoder state, for
-    /// [`Codec::decode_bytes_with`](crate::Codec::decode_bytes_with).
-    pub fn codec_scratch(&mut self) -> &mut CodecScratch {
-        &mut self.codec
     }
 
     /// The analytic fast path's tile-scan buffers.

@@ -1,10 +1,10 @@
-//! The unified run API: one [`Session`] replaces the eight
-//! `Platform::run*` variants.
+//! The run API: one [`Session`] streams matrices through the modeled
+//! platform.
 //!
-//! A session owns a validated [`Platform`] plus the [`EncodeScratch`]
+//! A session owns a validated [`HwConfig`], its optional profiler,
+//! tile-worker count and cancellation token, plus the [`EncodeScratch`]
 //! buffer pool, so consecutive runs share their per-tile buffers instead of
-//! re-allocating them. Every combination the old methods offered is
-//! expressed as one [`RunRequest`]:
+//! re-allocating them. Each run is one [`RunRequest`]:
 //!
 //! ```
 //! use copernicus_hls::{HwConfig, RunRequest, Session};
@@ -22,12 +22,13 @@
 //! assert!(report.total_cycles > 0);
 //! ```
 
-use crate::pipeline::apply_contributions;
+use crate::pipeline::Run;
 use crate::{
-    BackendKind, EncodeScratch, HwConfig, ParallelReport, Platform, PlatformError, RunReport,
+    backend_for, BackendKind, EncodeScratch, HwConfig, ParallelReport, PlatformError, RunReport,
 };
-use copernicus_telemetry::{NullSink, TraceSink};
+use copernicus_telemetry::{CancelToken, NullSink, PhaseProfiler, TraceSink};
 use sparsemat::{Coo, FormatKind, PartitionGrid, SparseError};
+use std::sync::Arc;
 
 /// What a [`RunRequest`] streams through the platform: a raw matrix (tiled
 /// at the configured partition size) or a pre-built grid shared across a
@@ -42,18 +43,11 @@ pub enum Input<'a> {
 }
 
 /// One run through the platform, built fluently: input and format are
-/// mandatory, everything else opts in.
-///
-/// | old `Platform` method       | request                                        |
-/// |-----------------------------|------------------------------------------------|
-/// | `run`                       | `RunRequest::matrix(m, f)`                     |
-/// | `run_with_sink`             | `...matrix(m, f).with_sink(s)`                 |
-/// | `run_grid`                  | `RunRequest::grid(g, f)`                       |
-/// | `run_grid_with_sink`        | `...grid(g, f).with_sink(s)`                   |
-/// | `run_spmv`                  | `...matrix(m, f).consume_spmv(x)`              |
-/// | `run_spmv_with_sink`        | `...matrix(m, f).consume_spmv(x).with_sink(s)` |
-/// | `run_parallel`              | `...matrix(m, f).with_lanes(n)`                |
-/// | `run_parallel_with_sink`    | `...matrix(m, f).with_lanes(n).with_sink(s)`   |
+/// mandatory; a trace sink ([`RunRequest::with_sink`]), an SpMV consume
+/// ([`RunRequest::consume_spmv`]), aggregated lanes
+/// ([`RunRequest::with_lanes`]), a tile-worker count
+/// ([`RunRequest::par_tiles`]) and a backend ([`RunRequest::backend`]) opt
+/// in.
 pub struct RunRequest<'a> {
     input: Input<'a>,
     format: FormatKind,
@@ -159,7 +153,7 @@ impl<'a> RunRequest<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// The timing report (for a lanes run: the single-lane baseline, as
-    /// `run_parallel` reported inside [`ParallelReport`]).
+    /// also carried in [`ParallelReport::single_lane`]).
     pub report: RunReport,
     /// `y = A·x`, present iff the request used
     /// [`RunRequest::consume_spmv`].
@@ -169,11 +163,19 @@ pub struct RunOutcome {
     pub parallel: Option<ParallelReport>,
 }
 
-/// A platform plus its reusable scratch buffers — the one entry point for
-/// streaming matrices through the modeled hardware.
+/// The modeled platform plus its reusable scratch buffers: the one entry
+/// point for streaming matrices through the modeled hardware.
 #[derive(Debug)]
 pub struct Session {
-    platform: Platform,
+    cfg: HwConfig,
+    /// Optional wall-clock phase profiler. Never consulted by the timing
+    /// model: reports are bit-identical with and without it.
+    profiler: Option<Arc<PhaseProfiler>>,
+    /// Worker threads processing one run's partitions concurrently
+    /// (1 = serial).
+    tile_jobs: usize,
+    /// Optional cooperative cancellation token, polled between partitions.
+    cancel: Option<CancelToken>,
     scratch: EncodeScratch,
 }
 
@@ -185,53 +187,43 @@ impl Session {
     /// Returns [`PlatformError::Config`] when the configuration fails
     /// [`HwConfig::validate`].
     pub fn new(cfg: HwConfig) -> Result<Self, PlatformError> {
-        Ok(Session::from_platform(Platform::new(cfg)?))
-    }
-
-    /// Wraps an already-validated platform.
-    pub fn from_platform(platform: Platform) -> Self {
-        Session {
-            platform,
+        cfg.validate().map_err(PlatformError::Config)?;
+        Ok(Session {
+            cfg,
+            profiler: None,
+            tile_jobs: 1,
+            cancel: None,
             scratch: EncodeScratch::new(),
-        }
-    }
-
-    /// The underlying platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
+        })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &HwConfig {
-        self.platform.config()
+        &self.cfg
     }
 
-    /// Attaches (or detaches) a wall-clock phase profiler. Profiling sits
-    /// outside the deterministic artifact path: reports and traces are
-    /// byte-identical with or without it.
-    pub fn set_profiler(
-        &mut self,
-        profiler: Option<std::sync::Arc<copernicus_telemetry::PhaseProfiler>>,
-    ) {
-        self.platform.set_profiler(profiler);
+    /// Attaches (or detaches) a wall-clock phase profiler. Runs then
+    /// observe per-run encode / decompress / verify / compute phase
+    /// durations into it. Profiling sits outside the deterministic artifact
+    /// path: reports and traces are byte-identical with or without it.
+    pub fn set_profiler(&mut self, profiler: Option<Arc<PhaseProfiler>>) {
+        self.profiler = profiler;
     }
 
     /// Builder-style [`Session::set_profiler`].
     #[must_use]
-    pub fn with_profiler(
-        mut self,
-        profiler: std::sync::Arc<copernicus_telemetry::PhaseProfiler>,
-    ) -> Self {
+    pub fn with_profiler(mut self, profiler: Arc<PhaseProfiler>) -> Self {
         self.set_profiler(Some(profiler));
         self
     }
 
     /// Sets how many worker threads process each subsequent run's
     /// partitions (clamped to at least 1 = serial). Purely a host-side
-    /// speedup: every run's outputs are byte-identical at any worker count
+    /// speedup: tiles are processed out of order but reduced back in grid
+    /// order, so every run's outputs are byte-identical at any worker count
     /// (test-enforced). [`RunRequest::par_tiles`] overrides this per run.
     pub fn set_tile_jobs(&mut self, jobs: usize) {
-        self.platform.set_tile_jobs(jobs);
+        self.tile_jobs = jobs.max(1);
     }
 
     /// Builder-style [`Session::set_tile_jobs`].
@@ -243,7 +235,7 @@ impl Session {
 
     /// The session-wide intra-run worker count.
     pub fn tile_jobs(&self) -> usize {
-        self.platform.tile_jobs()
+        self.tile_jobs
     }
 
     /// Attaches (or with `None`, detaches) a cooperative cancellation
@@ -251,18 +243,18 @@ impl Session {
     /// token reports cancelled, runs fail with
     /// [`PlatformError::Cancelled`]; runs that complete first are
     /// byte-identical to untokened runs.
-    pub fn set_cancel(&mut self, cancel: Option<copernicus_telemetry::CancelToken>) {
-        self.platform.set_cancel(cancel);
+    pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
+        self.cancel = cancel;
     }
 
     /// Builder-style [`Session::set_cancel`].
     #[must_use]
-    pub fn with_cancel(mut self, cancel: copernicus_telemetry::CancelToken) -> Self {
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.set_cancel(Some(cancel));
         self
     }
 
-    /// Executes one request. See [`RunRequest`] for the option matrix.
+    /// Executes one request. See [`RunRequest`] for the options.
     ///
     /// # Errors
     ///
@@ -270,7 +262,9 @@ impl Session {
     /// SpMV consume; [`PlatformError::Sparse`] when the SpMV operand length
     /// does not match the matrix column count, or partitioning/encoding
     /// fails; [`PlatformError::FunctionalMismatch`] when verification is on
-    /// and a decompressor disagrees with its reference tile.
+    /// and a decompressor disagrees with its reference tile;
+    /// [`PlatformError::Cancelled`] once the attached token reports
+    /// cancelled.
     pub fn run(&mut self, request: RunRequest<'_>) -> Result<RunOutcome, PlatformError> {
         let RunRequest {
             input,
@@ -281,30 +275,6 @@ impl Session {
             tile_jobs,
             backend,
         } = request;
-        let session_jobs = self.platform.tile_jobs();
-        if let Some(jobs) = tile_jobs {
-            self.platform.set_tile_jobs(jobs);
-        }
-        let session_backend = self.platform.backend();
-        if let Some(b) = backend {
-            self.platform.set_backend(b);
-        }
-        let outcome = self.dispatch(input, format, sink, spmv_x, lanes);
-        self.platform.set_backend(session_backend);
-        self.platform.set_tile_jobs(session_jobs);
-        outcome
-    }
-
-    /// The option dispatch behind [`Session::run`], after the per-request
-    /// tile-jobs override has been applied.
-    fn dispatch(
-        &mut self,
-        input: Input<'_>,
-        format: FormatKind,
-        sink: Option<&mut dyn TraceSink>,
-        spmv_x: Option<&[f32]>,
-        lanes: Option<usize>,
-    ) -> Result<RunOutcome, PlatformError> {
         let mut null = NullSink;
         let sink: &mut dyn TraceSink = match sink {
             Some(sink) => sink,
@@ -314,58 +284,51 @@ impl Session {
         let grid = match input {
             Input::Grid(grid) => grid,
             Input::Matrix(matrix) => {
-                built = PartitionGrid::new(matrix, self.config().partition_size)?;
+                built = PartitionGrid::new(matrix, self.cfg.partition_size)?;
                 &built
             }
         };
+        let run = Run {
+            cfg: &self.cfg,
+            backend: backend_for(backend.unwrap_or(self.cfg.backend)),
+            tile_jobs: tile_jobs.map_or(self.tile_jobs, |jobs| jobs.max(1)),
+            cancel: self.cancel.as_ref(),
+            profiler: self.profiler.as_deref(),
+        };
+        let scratch = &mut self.scratch;
         if let Some(lanes) = lanes {
             if spmv_x.is_some() {
                 return Err(PlatformError::Config(
                     "SpMV consume is not supported with aggregated lanes".into(),
                 ));
             }
-            let parallel = self.platform.run_parallel_grid_scratch(
-                grid,
-                format,
-                lanes,
-                sink,
-                &mut self.scratch,
-            )?;
+            let parallel = run.lanes(grid, format, lanes, sink, scratch)?;
             return Ok(RunOutcome {
                 report: parallel.single_lane.clone(),
                 y: None,
                 parallel: Some(parallel),
             });
         }
-        if let Some(x) = spmv_x {
-            let (nrows, ncols) = grid.shape();
-            if x.len() != ncols {
-                return Err(PlatformError::Sparse(SparseError::ShapeMismatch {
-                    expected: (ncols, 1),
-                    found: (x.len(), 1),
-                }));
-            }
-            let p = self.config().partition_size;
-            let mut y = vec![0.0f32; nrows];
-            let report = self.platform.run_grid_scratch(
-                grid,
-                format,
-                sink,
-                Some(&mut |part, d| apply_contributions(part, d, p, x, &mut y)),
-                &mut self.scratch,
-            )?;
+        let Some(x) = spmv_x else {
+            let report = run.single(grid, format, sink, scratch, None)?;
             return Ok(RunOutcome {
                 report,
-                y: Some(y),
+                y: None,
                 parallel: None,
             });
+        };
+        let (nrows, ncols) = grid.shape();
+        if x.len() != ncols {
+            return Err(PlatformError::Sparse(SparseError::ShapeMismatch {
+                expected: (ncols, 1),
+                found: (x.len(), 1),
+            }));
         }
-        let report = self
-            .platform
-            .run_grid_scratch(grid, format, sink, None, &mut self.scratch)?;
+        let mut y = vec![0.0f32; nrows];
+        let report = run.single(grid, format, sink, scratch, Some((x, &mut y)))?;
         Ok(RunOutcome {
             report,
-            y: None,
+            y: Some(y),
             parallel: None,
         })
     }

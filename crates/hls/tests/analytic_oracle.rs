@@ -17,8 +17,10 @@
 //! Memo level: a session scans each tile of a grid once and reuses the
 //! counts for every later format on that grid. A warm session must report
 //! exactly what a fresh one does — across grid switches, re-tiled matrix
-//! inputs, backend overrides, lanes runs, and after a cancelled or failed
-//! run — and tiles the scan refuses must reach the encoder on every format.
+//! inputs, backend overrides, lanes runs, and after a cancelled run — and
+//! tiles the scan refuses must reach the encoder on every format. A run
+//! that verification fails partway through the grid leaves a session whose
+//! next runs match a fresh one's.
 
 use copernicus_hls::{
     backend_for, decompress_with, BackendKind, EncodeScratch, EncodedPartition, HwConfig,
@@ -190,17 +192,13 @@ fn tiles_needing_a_merge_are_refused() {
             );
         }
     }
-    // A tile of another shape than the configured partition, and formats
-    // the platform does not characterize, are refused as well.
+    // A tile of another shape than the configured partition is refused as
+    // well.
     let tile = clean_tile(8, &mut rng);
     assert_eq!(
         TileCost::from_tile(&tile, FormatKind::Csr, &cfg, &mut scratch),
         None
     );
-    let tile = clean_tile(16, &mut rng);
-    for kind in [FormatKind::Sell, FormatKind::Jds, FormatKind::Bcsc] {
-        assert_eq!(TileCost::from_tile(&tile, kind, &cfg, &mut scratch), None);
-    }
 }
 
 /// A random `n×n` matrix (edge tiles when `p` does not divide `n`); with
@@ -369,7 +367,7 @@ impl TraceSink for CancelAfter {
 }
 
 #[test]
-fn cancelled_and_failed_runs_leave_a_memo_the_next_run_extends() {
+fn cancelled_runs_leave_a_memo_the_next_run_extends() {
     let mut rng = SmallRng::seed_from_u64(0x3e30_0003);
     let cfg = config(16, 4, false);
     let g = grid(3 * 16 + 5, 16, true, &mut rng);
@@ -385,8 +383,6 @@ fn cancelled_and_failed_runs_leave_a_memo_the_next_run_extends() {
         "{cancelled:?}"
     );
     warm.set_cancel(None);
-    // A format the platform does not characterize fails the run.
-    assert!(warm.run(RunRequest::grid(&g, FormatKind::Sell)).is_err());
     for kind in FormatKind::CHARACTERIZED {
         let got = warm.run(RunRequest::grid(&g, kind)).expect("rerun");
         assert_eq!(
@@ -394,6 +390,56 @@ fn cancelled_and_failed_runs_leave_a_memo_the_next_run_extends() {
             fresh(&cfg, cfg.backend, RunRequest::grid(&g, kind)),
             "{kind}"
         );
+    }
+}
+
+#[test]
+fn a_run_failing_partway_leaves_a_session_the_next_run_reuses() {
+    // A NaN never compares equal, so verification rejects the tile holding
+    // one: the run fails partway through the grid, after the tiles before
+    // it have been traced, at any tile-worker count.
+    let mut rng = SmallRng::seed_from_u64(0x3e30_0005);
+    let (p, n) = (16, 3 * 16 + 5);
+    let cfg = config(p, 4, true);
+    let clean = grid(n, p, false, &mut rng);
+    let mut triplets = matrix(n, false, &mut rng);
+    triplets.push(Triplet::new(2 * p + 1, p + 3, f32::NAN));
+    let bad = PartitionGrid::from_triplets(n, n, triplets, p).expect("tiling");
+    let failing = bad
+        .partitions()
+        .iter()
+        .position(|part| (part.grid_row, part.grid_col) == (2, 1))
+        .expect("the NaN tile is non-zero");
+    assert!(failing > 0 && failing + 1 < bad.partitions().len());
+    for jobs in [1, 3] {
+        let mut warm = Session::new(cfg.clone())
+            .expect("config")
+            .with_tile_jobs(jobs);
+        for kind in FormatKind::CHARACTERIZED {
+            let mut sink = RecordingSink::new();
+            let failed = warm.run(RunRequest::grid(&bad, kind).with_sink(&mut sink));
+            assert!(
+                matches!(
+                    failed,
+                    Err(PlatformError::FunctionalMismatch { grid: (2, 1), .. })
+                ),
+                "{kind} jobs={jobs}: {failed:?}"
+            );
+            assert_eq!(sink.count("partition_start"), failing, "{kind} jobs={jobs}");
+            assert!(
+                matches!(
+                    sink.events.last(),
+                    Some(PipelineEvent::FunctionalMismatch { partition, .. }) if *partition == failing
+                ),
+                "{kind} jobs={jobs}: the marker ends the trace"
+            );
+            let got = warm.run(RunRequest::grid(&clean, kind)).expect("rerun");
+            assert_eq!(
+                got,
+                fresh(&cfg, cfg.backend, RunRequest::grid(&clean, kind)),
+                "{kind} jobs={jobs}"
+            );
+        }
     }
 }
 

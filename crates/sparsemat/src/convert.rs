@@ -1,8 +1,8 @@
 //! Format-erased matrices and the conversion graph.
 
 use crate::{
-    Bcsc, Bcsr, Coo, Csc, Csr, Dense, Dia, Dok, Ell, FormatKind, Jds, Lil, Matrix, Scalar, Sell,
-    SparseError, Triplet,
+    Bcsr, Coo, Csc, Csr, Dense, Dia, Dok, Ell, FormatKind, Lil, Matrix, Scalar, SparseError,
+    Triplet,
 };
 
 /// A matrix in any of the supported formats, selected at run time.
@@ -29,13 +29,10 @@ pub enum AnyMatrix<T> {
     Csr(Csr<T>),
     Csc(Csc<T>),
     Bcsr(Bcsr<T>),
-    Bcsc(Bcsc<T>),
     Coo(Coo<T>),
     Dok(Dok<T>),
     Lil(Lil<T>),
     Ell(Ell<T>),
-    Sell(Sell<T>),
-    Jds(Jds<T>),
     Dia(Dia<T>),
 }
 
@@ -46,13 +43,10 @@ macro_rules! dispatch {
             AnyMatrix::Csr($m) => $body,
             AnyMatrix::Csc($m) => $body,
             AnyMatrix::Bcsr($m) => $body,
-            AnyMatrix::Bcsc($m) => $body,
             AnyMatrix::Coo($m) => $body,
             AnyMatrix::Dok($m) => $body,
             AnyMatrix::Lil($m) => $body,
             AnyMatrix::Ell($m) => $body,
-            AnyMatrix::Sell($m) => $body,
-            AnyMatrix::Jds($m) => $body,
             AnyMatrix::Dia($m) => $body,
         }
     };
@@ -60,21 +54,17 @@ macro_rules! dispatch {
 
 impl<T: Scalar> AnyMatrix<T> {
     /// Encodes a COO matrix into the requested format with the paper's
-    /// defaults (4×4 BCSR blocks, natural ELL width, column-oriented LIL,
-    /// [`Sell::DEFAULT_CHUNK`] slice height).
+    /// defaults (4×4 BCSR blocks, natural ELL width, column-oriented LIL).
     pub fn encode(coo: &Coo<T>, kind: FormatKind) -> Self {
         match kind {
             FormatKind::Dense => AnyMatrix::Dense(Dense::from(coo)),
             FormatKind::Csr => AnyMatrix::Csr(Csr::from(coo)),
             FormatKind::Csc => AnyMatrix::Csc(Csc::from(coo)),
             FormatKind::Bcsr => AnyMatrix::Bcsr(Bcsr::from(coo)),
-            FormatKind::Bcsc => AnyMatrix::Bcsc(Bcsc::from(coo)),
             FormatKind::Coo => AnyMatrix::Coo(coo.clone()),
             FormatKind::Dok => AnyMatrix::Dok(Dok::from(coo)),
             FormatKind::Lil => AnyMatrix::Lil(Lil::from(coo)),
             FormatKind::Ell => AnyMatrix::Ell(Ell::from(coo)),
-            FormatKind::Sell => AnyMatrix::Sell(Sell::from(coo)),
-            FormatKind::Jds => AnyMatrix::Jds(Jds::from(coo)),
             FormatKind::Dia => AnyMatrix::Dia(Dia::from(coo)),
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! This crate implements every compression format studied by the paper
 //! *Copernicus: Characterizing the Performance Implications of Compression
-//! Formats Used in Sparse Workloads* (IISWC 2021) — plus the ELL variants it
-//! discusses — as first-class, losslessly convertible matrix types:
+//! Formats Used in Sparse Workloads* (IISWC 2021), plus the DOK variant it
+//! discusses, as first-class, losslessly convertible matrix types:
 //!
 //! | Type | Paper section | Notes |
 //! |---|---|---|
@@ -14,8 +14,6 @@
 //! | [`Dok`] | §2 DOK | hash-map of (row, col) → value |
 //! | [`Lil`] | §2 LIL | per-line lists; Copernicus uses column lists |
 //! | [`Ell`] | §2 ELL | fixed-width rows with padding |
-//! | [`Sell`] | §2 SELL | row-sliced ELL |
-//! | [`Jds`] | §2 (ELL variants) | jagged diagonal storage |
 //! | [`Dia`] | §2 DIA | non-zero diagonals with offset headers |
 //!
 //! Every format implements the [`Matrix`] trait (shape, random access,
@@ -50,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bcsc;
 pub mod bcsr;
 pub mod convert;
 pub mod coo;
@@ -61,15 +58,12 @@ pub mod dia;
 pub mod dok;
 pub mod ell;
 pub mod error;
-pub mod jds;
 pub mod lil;
 pub mod ops;
 pub mod partition;
 pub mod scalar;
-pub mod sell;
 pub mod triplet;
 
-pub use bcsc::Bcsc;
 pub use bcsr::Bcsr;
 pub use convert::AnyMatrix;
 pub use coo::Coo;
@@ -80,11 +74,9 @@ pub use dia::Dia;
 pub use dok::Dok;
 pub use ell::Ell;
 pub use error::SparseError;
-pub use jds::Jds;
 pub use lil::{Axis, Lil};
 pub use partition::{Partition, PartitionGrid, PartitionStats};
 pub use scalar::Scalar;
-pub use sell::Sell;
 pub use triplet::Triplet;
 
 use std::fmt::Debug;
@@ -92,8 +84,8 @@ use std::fmt::Debug;
 /// The compression formats studied by Copernicus, as a plain identifier.
 ///
 /// `Dense` is the paper's baseline; the seven characterized formats are
-/// `Csr`, `Csc`, `Bcsr`, `Coo`, `Lil`, `Ell` and `Dia`. `Dok`, `Sell` and
-/// `Jds` are the variants §2 discusses alongside them.
+/// `Csr`, `Csc`, `Bcsr`, `Coo`, `Lil`, `Ell` and `Dia`. `Dok` is the
+/// variant §2 discusses alongside them; it uses COO's datapath (§5.2).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
 )]
@@ -106,8 +98,6 @@ pub enum FormatKind {
     Csc,
     /// Block compressed sparse row (4×4 blocks in the paper).
     Bcsr,
-    /// Block compressed sparse column.
-    Bcsc,
     /// Coordinate (triplet) list.
     Coo,
     /// Dictionary of keys.
@@ -116,10 +106,6 @@ pub enum FormatKind {
     Lil,
     /// ELLPACK with padding.
     Ell,
-    /// Sliced ELLPACK.
-    Sell,
-    /// Jagged diagonal storage.
-    Jds,
     /// Diagonal storage.
     Dia,
 }
@@ -139,18 +125,15 @@ impl FormatKind {
     ];
 
     /// All formats implemented by this crate.
-    pub const ALL: [FormatKind; 12] = [
+    pub const ALL: [FormatKind; 9] = [
         FormatKind::Dense,
         FormatKind::Csr,
         FormatKind::Csc,
         FormatKind::Bcsr,
-        FormatKind::Bcsc,
         FormatKind::Coo,
         FormatKind::Dok,
         FormatKind::Lil,
         FormatKind::Ell,
-        FormatKind::Sell,
-        FormatKind::Jds,
         FormatKind::Dia,
     ];
 
@@ -161,13 +144,10 @@ impl FormatKind {
             FormatKind::Csr => "CSR",
             FormatKind::Csc => "CSC",
             FormatKind::Bcsr => "BCSR",
-            FormatKind::Bcsc => "BCSC",
             FormatKind::Coo => "COO",
             FormatKind::Dok => "DOK",
             FormatKind::Lil => "LIL",
             FormatKind::Ell => "ELL",
-            FormatKind::Sell => "SELL",
-            FormatKind::Jds => "JDS",
             FormatKind::Dia => "DIA",
         }
     }

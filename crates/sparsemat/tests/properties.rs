@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use sparsemat::{
-    Axis, Bcsr, Coo, Csc, Csr, Dia, Dok, Ell, FormatKind, Jds, Lil, Matrix, PartitionGrid, Sell,
-    Triplet,
+    Axis, Bcsr, Coo, Csc, Csr, Dia, Dok, Ell, FormatKind, Lil, Matrix, PartitionGrid, Triplet,
 };
 
 /// Strategy: a random COO matrix with unique coordinates and small integer
@@ -128,21 +127,6 @@ proptest! {
         let csr = Csr::from(&coo);
         prop_assert_eq!(ell.width(), csr.max_row_nnz());
         prop_assert_eq!(ell.padding() + ell.nnz(), ell.stored_slots());
-    }
-
-    #[test]
-    fn sell_never_pads_more_than_ell(coo in coo_strategy(), chunk in 1usize..=8) {
-        let sell = Sell::from_coo(&coo, chunk).unwrap();
-        let ell = Ell::from(&coo);
-        prop_assert!(sell.padding() <= ell.padding());
-    }
-
-    #[test]
-    fn jds_diagonal_lengths_are_non_increasing(coo in coo_strategy()) {
-        let jds = Jds::from_coo(&coo);
-        let lens: Vec<usize> = (0..jds.num_jagged_diagonals()).map(|d| jds.jd_len(d)).collect();
-        prop_assert!(lens.windows(2).all(|w| w[0] >= w[1]), "lens {lens:?}");
-        prop_assert_eq!(lens.iter().sum::<usize>(), coo.nnz());
     }
 
     #[test]

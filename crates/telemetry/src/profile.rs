@@ -199,8 +199,8 @@ impl PhaseProfiler {
         lock_clean(&self.workers).clone()
     }
 
-    /// Total campaign wall seconds observed via [`record_pool`]
-    /// (PhaseProfiler::record_pool).
+    /// Total campaign wall seconds observed via
+    /// [`record_pool`](PhaseProfiler::record_pool).
     pub fn wall_secs(&self) -> f64 {
         *lock_clean(&self.wall)
     }

@@ -3,9 +3,9 @@
 //! an append-only machine-readable `progress.jsonl`.
 //!
 //! The reporter is the single progress code path: campaign workers call
-//! [`ProgressReporter::cell_done`] / [`record_retry`]
-//! (ProgressReporter::record_retry) / [`record_failure`]
-//! (ProgressReporter::record_failure) on shared atomics (no locks on the
+//! [`ProgressReporter::cell_done`] /
+//! [`record_retry`](ProgressReporter::record_retry) /
+//! [`record_failure`](ProgressReporter::record_failure) on shared atomics (no locks on the
 //! worker path), and a background heartbeat thread periodically renders a
 //! snapshot — cells done/total, rate, ETA, retries, failures. Everything
 //! here is wall-clock and lives outside the byte-identical artifact

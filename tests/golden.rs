@@ -191,3 +191,72 @@ fn golden_sigma_values_for_full_tile() {
     // DIA: 31 diagonals scanned per row plus the initial access.
     assert!((sigma(FormatKind::Dia) - (2.0 + 16.0 * 31.0 + 16.0 * t_dot) / denom).abs() < 1e-12);
 }
+
+/// The aggregated-lanes engine on Band(128, 16) at seed 42, CSC, p=16:
+/// the `ParallelReport` at 1 and 4 lanes with verification on (functional
+/// path) and off (analytic fast path), then the event sequence of one
+/// traced 4-lane run.
+fn lanes_snapshot(tile_jobs: usize) -> String {
+    use copernicus_repro::hls::ParallelReport;
+    use copernicus_repro::telemetry::RecordingSink;
+    let m = Workload::Band { n: 128, width: 16 }.generate(0, 42);
+    let mut out = String::new();
+    for verify in [true, false] {
+        let mut s = Session::new(HwConfig {
+            verify_functional: verify,
+            ..HwConfig::with_partition_size(16)
+        })
+        .unwrap()
+        .with_tile_jobs(tile_jobs);
+        for lanes in [1, 4] {
+            let r: ParallelReport = s
+                .run(RunRequest::matrix(&m, FormatKind::Csc).with_lanes(lanes))
+                .unwrap()
+                .parallel
+                .unwrap();
+            out += &format!("verify={verify} lanes={lanes}\n");
+            out += &serde::json::to_string_pretty(&r);
+            out += "\n";
+        }
+    }
+    let mut sink = RecordingSink::new();
+    session()
+        .with_tile_jobs(tile_jobs)
+        .run(
+            RunRequest::matrix(&m, FormatKind::Csc)
+                .with_lanes(4)
+                .with_sink(&mut sink),
+        )
+        .unwrap();
+    out += "events lanes=4\n";
+    for e in sink.into_events() {
+        out += &format!("{e:?}\n");
+    }
+    out
+}
+
+#[test]
+fn golden_lanes_snapshot() {
+    // Pins the lanes engine: the single-lane baseline it carries, the
+    // least-loaded dealing, and the lane-track trace. Refresh with
+    // `BLESS=1 cargo test --test golden` after an intentional model change.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/lanes_band16_csc.txt"
+    );
+    let text = lanes_snapshot(1);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, &text).unwrap();
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden snapshot missing; run BLESS=1 cargo test --test golden");
+    assert!(
+        text == golden,
+        "lanes output drifted from tests/data/lanes_band16_csc.txt"
+    );
+    // Tile-parallel processing reduces back to the same bytes.
+    assert!(
+        lanes_snapshot(4) == golden,
+        "tile-parallel lanes run drifted"
+    );
+}
